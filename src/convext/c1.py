@@ -9,10 +9,17 @@ one from the data:
   within distance t.  On finite sets the supremum reduces exactly to
   ``max(0, max_pairs(s_ij - c_ij / t))`` where c is the tangent defect and
   s the gradient gap: the witness direction aligns with the gradient gap
-  and the optimal witness distance is t itself.
+  and the optimal witness distance is t itself.  Each term increases in s
+  and decreases in c, so the maximum runs over the Pareto front of the
+  pairs (``jet._pareto_pairs``) only.
 * ``delta1(t) = inf_{0<s<1} delta(s) + (2 L / s) t``: a concave,
-  non-decreasing upper envelope of delta (the infimand is convex in 1/s,
-  so a golden-section pass after a log-grid scan is exact).
+  non-decreasing upper envelope of delta.  In u = 1/s,
+  ``h(u) = delta(1/u) = max(0, max_k s_k - c_k u)`` is convex and
+  piecewise linear, and its breakpoints are the slopes of the upper hull
+  of the front points (c_k, s_k) and the origin.  The infimand
+  h(u) + 2 L t u is convex, so its infimum over u >= 1 is attained at
+  u = 1 or at a hull slope above 1: delta1 is exact, one minimum over
+  those vertices for every t at once.
 * ``Delta = min(2 L, delta1)`` and ``omega = Delta^alpha``, tabulated on a
   log grid and repaired with an upper concave hull so the result is a
   certified concave table.
@@ -23,6 +30,8 @@ one from the data:
 alpha defaults to 1 (the Euclidean case); smaller values exercise the
 norm-smoothness-limited variant together with a user-supplied midpoint
 constant K.
+
+Both upper hulls are ``envelope._lower_hull`` run on negated ordinates.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from typing import Optional
 
 import numpy as np
 
+from .envelope import _lower_hull
 from .extension import (
     ExtensionConfig,
     ExtensionModel,
@@ -42,6 +52,7 @@ from .extension import (
 from .jet import (
     InfeasibleJetError,
     Jet,
+    _pareto_pairs,
     check_condition_C,
     check_condition_CW1,
     pair_defects,
@@ -58,9 +69,6 @@ __all__ = [
     "build_construction",
     "c1_extend",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass
 class ConstructedModulus:
@@ -101,41 +109,19 @@ def _require_qualitative(jet: Jet, tol: float):
         raise InfeasibleJetError("condition_CW1", cond_cw1.violations)
 
 
-def _pair_arrays(jet: Jet):
-    """Ordered-pair defects (c, s), reduced to the Pareto front.
-
-    Pair B is dominated by pair A when s_A >= s_B and c_A <= c_B: then
-    s_A - c_A / t >= s_B - c_B / t for every t > 0, so B never decides
-    delta or delta1.  Pairs with s = 0 are dominated by the zero floor.
-    The reduction trims O(n^2) pairs to O(n) on typical dense-grid jets.
-    """
+def _front(jet: Jet):
+    """Defects (c, s) of the jet's Pareto-front pairs."""
     C, S, _ = pair_defects(jet)
-    n = jet.size
-    ii, jj = np.where(~np.eye(n, dtype=bool))
-    c, s = np.maximum(C[ii, jj], 0.0), S[ii, jj]
-    keep = s > 0.0
-    c, s = c[keep], s[keep]
-    if len(s) == 0:
-        return c, s
-    order = np.argsort(-s, kind="stable")
-    c, s = c[order], s[order]
-    cmin = np.minimum.accumulate(c)
-    front = np.concatenate([[True], c[1:] < cmin[:-1]])
-    return c[front], s[front]
+    return _pareto_pairs(C, S)[2:]
 
 
-def delta_many(jet: Jet, ts, pair_cache=None) -> np.ndarray:
+def delta_many(jet: Jet, ts) -> np.ndarray:
     """delta on an array of positive distances (exact finite-set reduction)."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("delta is defined for t > 0")
-    if pair_cache is None:
-        pair_cache = _pair_arrays(jet)
-    c, s = pair_cache
-    if len(c) == 0:
-        return np.zeros_like(ts)
-    vals = s[None, :] - c[None, :] / ts[:, None]
-    return np.maximum(0.0, np.max(vals, axis=1))
+    c, s = _front(jet)
+    return np.max(s[None, :] - c[None, :] / ts[:, None], axis=1, initial=0.0)
 
 
 def compute_delta(jet: Jet, t: float, tol: float = 1e-9) -> float:
@@ -148,58 +134,25 @@ def compute_delta(jet: Jet, t: float, tol: float = 1e-9) -> float:
     return float(delta_many(jet, np.array([t]))[0])
 
 
-def delta1_value(jet: Jet, L: float, t: float, pair_cache=None, n_scan: int = 200) -> float:
-    """inf over s in (0,1) of delta(s) + (2 L / s) t.
+def delta1_value(jet: Jet, L: float, t):
+    """inf over s in (0,1) of delta(s) + (2 L / s) t, for a scalar or an array t.
 
-    In u = 1/s the infimand is convex (a max of affine functions plus a
-    linear term), so a log-grid scan bracketing the minimum followed by a
-    golden-section pass returns the exact infimum.
+    In u = 1/s the infimand is h(u) + 2 L t u with h convex and piecewise
+    linear, so the infimum over u >= 1 is attained at u = 1 or at a
+    breakpoint of h above 1.  The breakpoints are the slopes of the upper
+    hull of the front points (c_k, s_k) and the origin.
     """
-    if pair_cache is None:
-        pair_cache = _pair_arrays(jet)
-    c, s_gap = pair_cache
-
-    def objective(u):
-        # delta(1/u) + 2 L t u, vectorized over u
-        u = np.asarray(u, dtype=float)
-        if len(c):
-            d = np.maximum(0.0, np.max(s_gap[None, :] - c[None, :] * u[:, None], axis=1))
-        else:
-            d = np.zeros_like(u)
-        return d + 2.0 * L * t * u
-
-    u_grid = np.geomspace(1.0 + 1e-6, 1e6, n_scan)
-    vals = objective(u_grid)
-    best = int(np.argmin(vals))
-    a = u_grid[max(best - 1, 0)]
-    b = u_grid[min(best + 1, n_scan - 1)]
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = objective(np.array([x1]))[0], objective(np.array([x2]))[0]
-    for _ in range(80):
-        if f1 > f2:      # minimum lies right of x1
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = objective(np.array([x2]))[0]
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = objective(np.array([x1]))[0]
-    return float(min(vals[best], f1, f2))
-
-
-def _upper_concave_hull(ts, ws):
-    """Upper concave hull vertices of a graph sorted by t (slopes decrease)."""
-    hx, hy = [], []
-    for x, y in zip(ts, ws):
-        while len(hx) >= 2 and (
-            (hy[-1] - hy[-2]) * (x - hx[-1]) <= (y - hy[-1]) * (hx[-1] - hx[-2])
-        ):
-            hx.pop()
-            hy.pop()
-        hx.append(x)
-        hy.append(y)
-    return np.asarray(hx), np.asarray(hy)
+    c, s = _front(jet)
+    xs, ys = np.concatenate([[0.0], c]), np.concatenate([[0.0], -s])
+    order = np.lexsort((ys, xs))
+    hx, hy = _lower_hull(xs[order], ys[order])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = -np.diff(hy) / np.diff(hx)
+    u = np.concatenate([[1.0], slopes[np.isfinite(slopes) & (slopes > 1.0)]])
+    h = np.max(s[None, :] - c[None, :] * u[:, None], axis=1, initial=0.0)
+    tt = np.asarray(t, dtype=float)
+    out = np.min(h + 2.0 * L * tt[..., None] * u, axis=-1)
+    return float(out) if np.ndim(t) == 0 else out
 
 
 def build_construction(
@@ -235,15 +188,14 @@ def build_construction(
             Delta=zeros, omega=None, M=0.0, degenerate=True,
         )
 
-    cache = _pair_arrays(jet)
-    delta = delta_many(jet, t_grid, cache)
-    delta1 = np.array([delta1_value(jet, L, t, cache) for t in t_grid])
+    delta = delta_many(jet, t_grid)
+    delta1 = delta1_value(jet, L, t_grid)
     Delta = np.minimum(2.0 * L, delta1)
 
     ts = np.concatenate([[0.0], t_grid])
     ws = np.concatenate([[0.0], np.power(Delta, alpha)])
-    hx, hy = _upper_concave_hull(ts, ws)
-    omega = TableModulus(np.column_stack([hx, hy]))
+    hx, hy = _lower_hull(ts, -ws)
+    omega = TableModulus(np.column_stack([hx, -hy]))
     report = validate_modulus(omega, np.concatenate([[0.0], t_grid]))
     if not report.ok:
         raise RuntimeError(f"constructed table failed validation: {report.issues[:3]}")

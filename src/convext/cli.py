@@ -10,8 +10,10 @@ reproduce   run a named built-in example and compare to expected values
 report      pretty-print a previously written verification report
 
 Exit status: 0 all checks passed; 1 mathematical infeasibility or a failed
-bound check; 2 malformed input.  With a fixed seed, outputs are
-byte-identical across runs.
+bound check; 2 malformed input; 3 internal failure (a solver error, a
+constructed modulus that fails its own certification, or running out of
+memory), reported as one ``internal error:`` line on stderr.  With a fixed
+seed, outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .extension import (
 from .jet import (
     InfeasibleJetError,
     Jet,
+    _json_float,
     feasibility_report,
     lip_omega_gradients,
     seminorm_A_extrinsic,
@@ -46,6 +49,7 @@ from .modulus import HolderModulus, parse_modulus_spec
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load_jet(path: str) -> Jet:
@@ -116,16 +120,13 @@ def cmd_constants(args) -> int:
         "A_extrinsic": None,
         "A_intrinsic": None,
     }
-    A_ext = seminorm_A_extrinsic(jet, modulus)
-    out["A_extrinsic"] = A_ext if np.isfinite(A_ext) else "inf"
-    A = A_ext
+    A = seminorm_A_extrinsic(jet, modulus)
+    out["A_extrinsic"] = _json_float(A)
     if modulus.coercive:
-        A_int, _ = seminorm_A_intrinsic(jet, modulus)
-        out["A_intrinsic"] = A_int if np.isfinite(A_int) else "inf"
-        A = A_int
+        A, _ = seminorm_A_intrinsic(jet, modulus)
+        out["A_intrinsic"] = _json_float(A)
     out["relation"] = {
-        k: (v if not isinstance(v, float) or np.isfinite(v) else "inf")
-        for k, v in seminorm_relation_report(jet, modulus, A).items()
+        k: _json_float(v) for k, v in seminorm_relation_report(jet, modulus, A).items()
     }
     _emit_json(out, args.report)
     return EXIT_OK if np.isfinite(A) else EXIT_FAILED
@@ -327,6 +328,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (RuntimeError, MemoryError) as exc:
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}" + (f": {detail}" if detail else ""),
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,14 +8,23 @@ module decides the two qualitative extendability conditions
 * condition (CW1): tangency  f(y) = f(z) + <G(z), y - z>  forces
   G(y) = G(z),
 
-and computes the quantitative objects attached to a modulus omega:
+and computes the quantitative objects attached to a modulus omega.
+
+Every constant computed from the jet's pairs is a maximum, over ordered
+pairs (y, z), of a function that increases in the gradient gap
+s = |G(y) - G(z)| and decreases in the tangent defect
+c = f(y) - f(z) - <G(z), y - z>.  One kernel, ``_pareto_pairs``, reduces
+the n (n - 1) ordered pairs to the Pareto front of the points (c, s): the
+pairs with s > 0 that no other pair dominates.  On dense jets the front
+holds O(n) pairs.  The least constant A below and the c1 construction's
+delta and delta1 are evaluated on the front only.
 
 * ``seminorm_A_*``: the least constant M such that every tangent plane,
   lifted by M * phi(|x - y|), dominates every other tangent plane.  The
-  intrinsic route solves one scalar equation per pair through the Fenchel
-  conjugate of phi; the extrinsic route maximizes the defining ratio over a
-  1-D reduction in the witness point x.  Both agree for increasing,
-  unbounded moduli.
+  intrinsic route solves one scalar equation per front pair through the
+  Fenchel conjugate of phi; the extrinsic route maximizes the defining
+  ratio over a 1-D reduction in the witness point x.  Both agree for
+  increasing, unbounded moduli.
 * ``lip_omega_gradients``: the omega-Hoelder seminorm of G on E.
 * ``sup_norm_gradients``: L = sup |G|, the sharp Lipschitz constant of any
   convex extension.
@@ -51,6 +60,21 @@ __all__ = [
 ]
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _pairwise_norms(X):
+    """|X_i - X_j| for every pair of rows.
+
+    The difference form keeps exact zeros for equal rows, which the s > 0
+    test of the pair kernel relies on.
+    """
+    diff = X[:, None, :] - X[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=2))
+
+
+def _json_float(v):
+    """v for a JSON report, with a non-finite float written as "inf"."""
+    return v if not isinstance(v, float) or np.isfinite(v) else "inf"
 
 
 class InfeasibleJetError(Exception):
@@ -96,8 +120,7 @@ class Jet:
             )
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
             raise ValueError("jet data must be finite")
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
+        dist = _pairwise_norms(pts)
         np.fill_diagonal(dist, np.inf)
         if np.min(dist) <= 1e-12:
             i, j = np.unravel_index(np.argmin(dist), dist.shape)
@@ -117,8 +140,7 @@ class Jet:
     def diameter(self) -> float:
         if self.size == 1:
             return 0.0
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt(np.max(np.sum(diff * diff, axis=2))))
+        return float(np.max(_pairwise_norms(self.points)))
 
     def subset(self, indices) -> "Jet":
         idx = np.asarray(indices, dtype=int)
@@ -164,11 +186,31 @@ def pair_defects(jet: Jet):
     PG = P @ G.T                    # PG[i, j] = <p_i, G_j>
     diag = np.einsum("ij,ij->i", P, G)
     C = f[:, None] - f[None, :] - (PG - diag[None, :])
-    dG = G[:, None, :] - G[None, :, :]
-    S = np.sqrt(np.sum(dG * dG, axis=2))
-    dP = P[:, None, :] - P[None, :, :]
-    D = np.sqrt(np.sum(dP * dP, axis=2))
-    return C, S, D
+    return C, _pairwise_norms(G), _pairwise_norms(P)
+
+
+def _pareto_pairs(C, S):
+    """The ordered pairs (i, j, c, s) on the Pareto front of (c, s).
+
+    c = max(C, 0) and s = S are taken from ``pair_defects``.  Pair B is
+    dominated by pair A when s_A >= s_B and c_A <= c_B with (c_A, s_A) !=
+    (c_B, s_B): every constant computed from the pairs is then at least as
+    large at A as at B.  Pairs with s = 0 never decide one, and exact ties
+    are all kept.  The arrays come back in (y, z) row-major order.
+    """
+    i, j = np.nonzero(S > 0.0)
+    c, s = np.maximum(C[i, j], 0.0), S[i, j]
+    order = np.lexsort((c, -s))          # s descending, then c ascending
+    cs, ss = c[order], s[order]
+    n = len(order)
+    head = np.ones(n, dtype=bool)        # first of a run of exact ties
+    head[1:] = (cs[1:] != cs[:-1]) | (ss[1:] != ss[:-1])
+    lower = np.ones(n, dtype=bool)       # c below every c sorted before it
+    lower[1:] = cs[1:] < np.minimum.accumulate(cs)[:-1]
+    # a run head is on the front when it is lower; its ties share the verdict
+    start = np.maximum.accumulate(np.where(head, np.arange(n), 0))
+    keep = np.sort(order[lower[start]])
+    return i[keep], j[keep], c[keep], s[keep]
 
 
 @dataclass
@@ -220,6 +262,23 @@ def _feasibility_mask(C, f, tol):
     return C < -tol * scale
 
 
+def _pair_constants(c, s, m: Modulus):
+    """The root M of M * phi_star(s / M) = c, elementwise over pairs with c, s > 0."""
+    alpha = m.holder_exponent
+    if alpha is not None:
+        base = alpha * np.power(s, 1.0 + 1.0 / alpha) / ((1.0 + alpha) * c)
+        return np.power(base, alpha) / m.holder_scale
+    lo = np.full(c.shape, 1e-12)
+    hi = np.full(c.shape, 1e12)
+    for _ in range(200):
+        mid = np.sqrt(lo * hi)
+        val = mid * m.phi_star(s / mid)
+        larger = val > c           # value decreases in M: root is above mid
+        lo = np.where(larger, mid, lo)
+        hi = np.where(larger, hi, mid)
+    return np.sqrt(lo * hi)
+
+
 def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
     """Least feasible constant via the pairwise conjugate equation.
 
@@ -227,63 +286,40 @@ def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
     pair constant solves M * phi_star(s / M) = c (the map is non-increasing
     in M).  Power moduli use the closed form
     M = (alpha s^{1+1/alpha} / ((1+alpha) c))^alpha / scale; general
-    coercive moduli use a geometric bisection on [1e-12, 1e12].
+    coercive moduli use a geometric bisection on [1e-12, 1e12].  The pair
+    constant increases in s and decreases in c, so only the Pareto-front
+    pairs of ``_pareto_pairs`` are solved.
 
     Returns (A, per_pair) where per_pair lists ((i, j), M_ij) for every
-    ordered pair with a positive constant, and A = max over pairs (0 if all
-    pairs are slack, +inf if condition (C) fails or a tangent pair has a
-    gradient gap).
+    front pair with a positive constant, in (y, z) order, and A = max over
+    pairs (0 if all pairs are slack).  A is +inf if condition (C) fails or
+    a tangent pair has a gradient gap; per_pair then lists every such pair
+    with M = inf.
     """
     if not m.coercive:
         raise NonCoerciveModulusError(
             "the pairwise route needs an increasing unbounded modulus; "
             "use seminorm_A_extrinsic instead"
         )
+
+    def infinite(mask):
+        return np.inf, [((int(i), int(j)), np.inf) for i, j in np.argwhere(mask)]
+
     C, S, _ = pair_defects(jet)
-    f = jet.values
-    n = jet.size
-    if np.any(_feasibility_mask(C, f, feas_tol)):
-        bad = np.argwhere(_feasibility_mask(C, f, feas_tol))
-        per_pair = [((int(i), int(j)), np.inf) for i, j in bad]
-        return np.inf, per_pair
+    bad = _feasibility_mask(C, jet.values, feas_tol)
+    if np.any(bad):
+        return infinite(bad)
+    ii, jj, c, s = _pareto_pairs(C, S)
+    if np.any(c == 0.0):
+        # a tangent pair with a gradient gap: list every such pair, not only the front
+        return infinite((S > 0.0) & (C <= 0.0))
+    if len(c) == 0:
+        return 0.0, []
 
-    c = np.maximum(C, 0.0)
-    per_pair = []
-    A = 0.0
-    alpha = m.holder_exponent
-
-    ii, jj = np.where(~np.eye(n, dtype=bool))
-    cs, ss = c[ii, jj], S[ii, jj]
-    pos = ss > 0.0
-    M_pairs = np.zeros(len(ii))
-    if np.any(pos & (cs == 0.0)):
-        for i, j in zip(ii[pos & (cs == 0.0)], jj[pos & (cs == 0.0)]):
-            per_pair.append(((int(i), int(j)), np.inf))
-        return np.inf, per_pair
-
-    sel = pos
-    if np.any(sel):
-        cp, sp = cs[sel], ss[sel]
-        if alpha is not None:
-            base = alpha * np.power(sp, 1.0 + 1.0 / alpha) / ((1.0 + alpha) * cp)
-            M_sel = np.power(base, alpha) / m.holder_scale
-        else:
-            lo = np.full(cp.shape, 1e-12)
-            hi = np.full(cp.shape, 1e12)
-            for _ in range(200):
-                mid = np.sqrt(lo * hi)
-                val = mid * m.phi_star(sp / mid)
-                larger = val > cp          # value decreases in M: root is above mid
-                lo = np.where(larger, mid, lo)
-                hi = np.where(larger, hi, mid)
-            M_sel = np.sqrt(lo * hi)
-        M_pairs[sel] = M_sel
-        A = float(np.max(M_sel))
-
-    for k in range(len(ii)):
-        if M_pairs[k] > 0.0:
-            per_pair.append(((int(ii[k]), int(jj[k])), float(M_pairs[k])))
-    return A, per_pair
+    M = _pair_constants(c, s, m)
+    pos = M > 0.0
+    per_pair = list(zip(zip(ii[pos].tolist(), jj[pos].tolist()), M[pos].tolist()))
+    return float(np.max(M)), per_pair
 
 
 def _max_ratio_batch(c, s, m: Modulus, r_lo=1e-8, r_hi=1e8, n_grid=400, refine=80):
@@ -330,25 +366,20 @@ def seminorm_A_extrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
 
     For a fixed ordered pair, moving the witness x = y + r u with u aligned
     to G(z) - G(y) reduces the defining supremum to
-    sup_{r>0} (s r - c) / phi(r); the overall value is the max over pairs,
+    sup_{r>0} (s r - c) / phi(r); the overall value is the max over the
+    Pareto-front pairs (the ratio increases in s and decreases in c),
     floored at 0.  Works for any modulus; +inf when condition (C) fails or
     a tangent pair has distinct gradients.
     """
     C, S, _ = pair_defects(jet)
-    f = jet.values
-    if np.any(_feasibility_mask(C, f, feas_tol)):
+    if np.any(_feasibility_mask(C, jet.values, feas_tol)):
         return np.inf
-    c = np.maximum(C, 0.0)
-    n = jet.size
-    ii, jj = np.where(~np.eye(n, dtype=bool))
-    cs, ss = c[ii, jj], S[ii, jj]
-    if np.any((ss > 0.0) & (cs == 0.0)):
+    _, _, c, s = _pareto_pairs(C, S)
+    if np.any(c == 0.0):
         return np.inf
-    sel = (ss > 0.0) & (cs > 0.0)
-    if not np.any(sel):
+    if len(c) == 0:
         return 0.0
-    sups = _max_ratio_batch(cs[sel], ss[sel], m)
-    return float(max(0.0, np.max(sups)))
+    return float(max(0.0, np.max(_max_ratio_batch(c, s, m))))
 
 
 def compute_A(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
@@ -423,18 +454,14 @@ class FeasibilityReport:
             "feasible": bool(self.feasible),
             "condition_C": self.condition_C.to_json(),
             "condition_CW1": self.condition_CW1.to_json(),
-            "A": self.A if np.isfinite(self.A) else "inf",
+            "A": _json_float(self.A),
             "A_route": self.A_route,
             "per_pair_M": [
-                {"y": i, "z": j, "M": (M if np.isfinite(M) else "inf")}
-                for (i, j), M in self.per_pair_M
+                {"y": i, "z": j, "M": _json_float(M)} for (i, j), M in self.per_pair_M
             ],
             "lip_omega_G": self.lip_omega_G,
             "L": self.L,
-            "relation": {
-                k: (v if not isinstance(v, float) or np.isfinite(v) else "inf")
-                for k, v in self.relation.items()
-            },
+            "relation": {k: _json_float(v) for k, v in self.relation.items()},
         }
 
 

@@ -8,10 +8,17 @@ from convext.c1 import (
     delta1_value,
     delta_many,
 )
-from convext.jet import InfeasibleJetError, Jet, pair_defects, seminorm_A_extrinsic
+from convext.fixtures import two_point_power_jet
+from convext.jet import (
+    InfeasibleJetError,
+    Jet,
+    pair_defects,
+    seminorm_A_extrinsic,
+    sup_norm_gradients,
+)
 from convext.modulus import validate_modulus
 
-from conftest import dense_restriction_jet
+from conftest import dense_restriction_jet, random_feasible_jet
 
 HALFSQ = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
 
@@ -66,18 +73,60 @@ class TestDelta:
             assert best >= target - 1e-6   # 1-D witnesses realize the sup
 
 
+def delta1_reference(jet, L, t):
+    """Brute-force delta1 over every ordered pair; for jets of a few points.
+
+    The infimand max(0, max_k s_k - c_k u) + 2 L t u is convex and piecewise
+    linear in u = 1/s, so its infimum over u >= 1 is attained at u = 1, at a
+    zero crossing s_k / c_k or at an intersection of two pair lines.  That
+    is (pairs^2 x pairs) work and memory.
+    """
+    C, S, _ = pair_defects(jet)
+    off = ~np.eye(jet.size, dtype=bool)
+    c, s = np.maximum(C[off], 0.0), S[off]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = np.concatenate([
+            s / c, ((s[:, None] - s[None, :]) / (c[:, None] - c[None, :])).ravel(),
+        ])
+    u = np.unique(np.concatenate([[1.0], cuts[np.isfinite(cuts) & (cuts > 1.0)]]))
+    h = np.maximum(0.0, np.max(s[None, :] - c[None, :] * u[:, None], axis=1))
+    return float(np.min(h + 2.0 * L * t * u))
+
+
 class TestDelta1:
     def test_zero_limit_for_feasible(self, rng):
         jet = dense_restriction_jet(rng, n=80)
         L = float(np.max(np.abs(jet.gradients)))
         assert delta1_value(jet, L, 0.0) <= compute_delta(jet, 1e-6) + 1e-9
+        # t = 0: the infimum is h at its last breakpoint, where h reaches 0
+        assert delta1_value(jet, L, 0.0) == pytest.approx(0.0, abs=1e-12 * L)
 
     def test_zero_delta_gives_linear(self):
+        # constant gradients: no pair has s > 0, so the front is empty
         jet = Jet([[0.0], [1.0]], [0.0, 3.0], [[3.0], [3.0]])
         L = 3.0
-        for t in (0.2, 1.0, 4.0):
+        ts = np.array([0.0, 0.2, 1.0, 4.0])
+        for t in ts:
             # inf over s of 2 L t / s is reached at the s -> 1 end
-            assert delta1_value(jet, L, t) == pytest.approx(2.0 * L * t, rel=1e-5)
+            assert delta1_value(jet, L, t) == 2.0 * L * t
+        assert np.array_equal(delta1_value(jet, L, ts), 2.0 * L * ts)
+
+    def test_exact_matches_brute_force(self):
+        """Exact delta1 equals the all-pairs vertex enumeration to 1e-12."""
+        rng = np.random.default_rng(31)
+        jets = [two_point_power_jet(0.5)]          # two pairs tied in (c, s)
+        jets += [random_feasible_jet(rng, int(rng.integers(1, 4)), int(rng.integers(3, 9)))
+                 for _ in range(15)]
+        jets += [dense_restriction_jet(rng, n=int(rng.integers(6, 11))) for _ in range(5)]
+        for jet in jets:
+            L = sup_norm_gradients(jet)
+            ts = np.concatenate([[0.0], np.geomspace(1e-4, 10.0, 23)])
+            got = delta1_value(jet, L, ts)
+            assert got.shape == ts.shape
+            for t, value in zip(ts, got):
+                ref = delta1_reference(jet, L, t)
+                assert value == pytest.approx(ref, rel=1e-12, abs=1e-15 * L)
+                assert delta1_value(jet, L, float(t)) == value
 
     def test_matches_dense_scan(self):
         jet = HALFSQ
@@ -85,7 +134,8 @@ class TestDelta1:
         c, s = 0.5, 1.0
         for t in (0.1, 1.0, 3.0):
             val = delta1_value(jet, L, t)
-            u = np.geomspace(1.0 + 1e-6, 1e6, 2_000_000)
+            # the infimum over the open interval u > 1 is the value at u = 1
+            u = np.concatenate([[1.0], np.geomspace(1.0 + 1e-6, 1e6, 2_000_000)])
             scan = float(np.min(np.maximum(0.0, s - c * u) + 2.0 * L * t * u))
             assert val == pytest.approx(scan, abs=1e-6)
 

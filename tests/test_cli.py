@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from convext.cli import main
+from convext.cli import EXIT_INTERNAL, main
 from convext.fixtures import fixture_path, halfsq_jet, two_point_power_jet
+from convext.lp import SimplexError
 
 
 @pytest.fixture
@@ -70,6 +71,20 @@ class TestConstants:
         assert payload["A_extrinsic"] == pytest.approx(1.0, abs=1e-6)
         assert payload["L"] == 1.0
         assert payload["relation"]["general_ok"] is True
+
+    def test_infinite_constant_written_as_string(self, cw1_violator_file, capsys):
+        code = main(["constants", cw1_violator_file, "--modulus", "linear"])
+        assert code == 1
+        text = capsys.readouterr().out
+        assert "Infinity" not in text
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(text, parse_constant=reject)
+        assert payload["A_extrinsic"] == "inf"
+        assert payload["A_intrinsic"] == "inf"
+        assert payload["relation"]["A"] == "inf"
 
 
 class TestExtend:
@@ -144,6 +159,28 @@ class TestC1Command:
         code = main(["c1", cw1_violator_file])
         assert code == 1
         assert "condition_CW1" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    def test_solver_error_exits_three(self, halfsq_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise SimplexError("simplex did not converge")
+
+        monkeypatch.setattr("convext.cli.build_extension", fail)
+        code = main(["extend", halfsq_file, "--modulus", "linear"])
+        assert code == EXIT_INTERNAL == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: SimplexError: simplex did not converge\n"
+
+    def test_memory_error_exits_three(self, halfsq_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("convext.cli.c1_extend", fail)
+        code = main(["c1", halfsq_file])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: MemoryError\n"
 
 
 class TestReproduce:

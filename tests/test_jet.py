@@ -3,6 +3,9 @@ import pytest
 
 from convext.jet import (
     Jet,
+    _max_ratio_batch,
+    _pair_constants,
+    _pareto_pairs,
     check_condition_C,
     check_condition_CW1,
     compute_A,
@@ -23,7 +26,7 @@ from convext.modulus import (
     TableModulus,
 )
 
-from conftest import random_feasible_jet, random_modulus
+from conftest import random_concave_table, random_feasible_jet, random_modulus
 
 HALFSQ = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
 
@@ -88,6 +91,10 @@ class TestSeminormA:
             A, per_pair = seminorm_A_intrinsic(jet, HolderModulus(alpha))
             assert A == pytest.approx(2.0 / (1.0 + 1.0 / alpha) ** alpha, abs=1e-12)
             assert len(per_pair) == 2
+            # the two symmetric pairs tie exactly in (c, s): both stay on the front
+            i, j, c, s = _pareto_pairs(*pair_defects(jet)[:2])
+            assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0)]
+            assert c[0] == c[1] and s[0] == s[1]
 
     def test_halfsq_linear(self):
         A, _ = seminorm_A_intrinsic(HALFSQ, LinearModulus())
@@ -181,6 +188,77 @@ class TestSeminormA:
                     best = max(best, float(np.max(ratio)))
             assert best <= A_ext + 1e-9
             assert best >= 0.5 * A_ext  # the coarse grid gets within a factor
+
+
+def _all_pairs(jet):
+    """(c, s) of every ordered pair with s > 0, c = max(C, 0)."""
+    C, S, _ = pair_defects(jet)
+    i, j = np.nonzero(S > 0.0)
+    return i, j, np.maximum(C[i, j], 0.0), S[i, j]
+
+
+def _kernel_moduli(rng):
+    """Hoelder, linear, coercive-table, bounded-table and scaled moduli."""
+    return [
+        HolderModulus(float(rng.uniform(0.3, 1.0))),
+        LinearModulus(),
+        random_concave_table(rng),
+        random_concave_table(rng, coercive=False),
+        ScaledModulus(HolderModulus(float(rng.uniform(0.3, 1.0))), float(rng.uniform(0.25, 4.0))),
+        ScaledModulus(random_concave_table(rng), float(rng.uniform(0.25, 4.0))),
+    ]
+
+
+class TestPairKernel:
+    def test_front_is_the_non_dominated_set(self):
+        """Brute-force domination check over all pairs of pairs."""
+        rng = np.random.default_rng(21)
+        for _ in range(30):
+            jet = random_feasible_jet(rng, int(rng.integers(1, 4)), int(rng.integers(2, 12)))
+            i, j, c, s = _all_pairs(jet)
+            dominated = np.array([
+                np.any((s >= sk) & (c <= ck) & ((s > sk) | (c < ck))) for ck, sk in zip(c, s)
+            ], dtype=bool)
+            fi, fj, fc, fs = _pareto_pairs(*pair_defects(jet)[:2])
+            assert list(zip(fi.tolist(), fj.tolist())) == list(
+                zip(i[~dominated].tolist(), j[~dominated].tolist())
+            )
+            assert np.array_equal(fc, c[~dominated]) and np.array_equal(fs, s[~dominated])
+
+    def test_constant_gradients_give_an_empty_front(self):
+        jet = Jet([[0.0], [1.0], [2.0]], [0.0, 3.0, 6.0], [[3.0], [3.0], [3.0]])
+        i, j, c, s = _pareto_pairs(*pair_defects(jet)[:2])
+        assert len(i) == len(j) == len(c) == len(s) == 0
+        assert seminorm_A_intrinsic(jet, LinearModulus()) == (0.0, [])
+        assert seminorm_A_extrinsic(jet, LinearModulus()) == 0.0
+
+    def test_front_A_matches_full_pair_reference(self):
+        """The front-based A equals the maximum over every ordered pair:
+        exactly on the intrinsic route, to 1e-12 relative on the extrinsic one."""
+        rng = np.random.default_rng(22)
+        for _ in range(12):
+            jet = random_feasible_jet(rng, int(rng.integers(1, 4)), int(rng.integers(2, 25)))
+            _, _, c, s = _all_pairs(jet)
+            for m in _kernel_moduli(rng):
+                ext_ref = float(max(0.0, np.max(_max_ratio_batch(c, s, m))))
+                assert seminorm_A_extrinsic(jet, m) == pytest.approx(ext_ref, rel=1e-12, abs=0.0)
+                if m.coercive:
+                    A, _ = seminorm_A_intrinsic(jet, m)
+                    assert A == float(np.max(_pair_constants(c, s, m)))
+
+    def test_per_pair_maximum_is_A_on_the_front(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            jet = random_feasible_jet(rng, int(rng.integers(1, 4)), int(rng.integers(2, 25)))
+            m = random_modulus(rng, kinds=("holder", "linear", "table", "scaled"))
+            A, per_pair = seminorm_A_intrinsic(jet, m)
+            (y, z), top = max(per_pair, key=lambda p: p[1])
+            assert top == A
+            fi, fj, _, _ = _pareto_pairs(*pair_defects(jet)[:2])
+            front = list(zip(fi.tolist(), fj.tolist()))
+            assert (y, z) in front
+            assert [p for p, _ in per_pair] == sorted(p for p, _ in per_pair)
+            assert set(p for p, _ in per_pair) <= set(front)
 
 
 class TestOtherSeminorms:
