@@ -18,9 +18,11 @@ Envelopes are computed over a bounded box:
 
 * d = 1: sample g on a uniform grid plus all jet points and take the lower
   convex hull of the planar graph (one monotone-chain pass).  Evaluation is
-  piecewise-linear interpolation on hull vertices; the Lipschitz variant is
-  evaluated exactly (the infimand is piecewise linear in y with breakpoints
-  at hull vertices and at x itself).
+  piecewise-linear interpolation on hull vertices.  The Lipschitz variant is
+  exact by slope clipping: infimal convolution with L|.| adds the indicator
+  of [-L, L] to the conjugate F*, so F_L keeps the hull pieces whose slopes
+  lie in [-L, L] and continues with slope -L to their left and +L to their
+  right.
 * d in {2, 3}: store the sampled grid; each query solves the tiny linear
   program  min sum lambda_j g(p_j)  over convex combinations of grid points
   hitting x (at most d + 1 points carry weight, so the optimum is a local
@@ -115,6 +117,17 @@ def _lower_hull(xs, ys):
     return np.asarray(hx), np.asarray(hy)
 
 
+def _warn_low_cap(jet: Jet, L: float, stacklevel: int):
+    """Warn when the cap L is below sup|G|: F_L then misses the jet."""
+    sup_g = sup_norm_gradients(jet)
+    if L < sup_g - 1e-12:
+        warnings.warn(
+            f"Lipschitz cap {L} is below sup|G| = {sup_g}; the capped "
+            "envelope will not interpolate the jet",
+            stacklevel=stacklevel,
+        )
+
+
 class EnvelopeModel:
     """Queryable convex envelope of a generator over a box.
 
@@ -199,19 +212,18 @@ class EnvelopeModel:
     # -- Lipschitz-capped evaluation
 
     def lipschitz_value_many(self, X, L: Optional[float] = None) -> np.ndarray:
+        """F_L(x) = inf_y F(y) + L |x - y|.
+
+        d = 1 is exact by slope clipping: F_L* = F* + indicator[-L, L], so
+        F_L follows the hull from the first vertex a with right slope >= -L
+        to the last vertex b with left slope <= L, with slope -L left of a
+        and +L right of b.  d >= 2 refines a coarse grid scan per query.
+        """
         L = self._resolve_cap(L)
         X = _as_points(X, self.dimension)
         self._require_inside(X)
         if self.dimension == 1:
-            out = np.empty(len(X))
-            for start in range(0, len(X), 512):
-                chunk = X[start:start + 512, 0]
-                trav = self.hull_y[None, :] + L * np.abs(chunk[:, None] - self.hull_x[None, :])
-                out[start:start + 512] = np.minimum(
-                    np.min(trav, axis=1),
-                    np.interp(chunk, self.hull_x, self.hull_y),
-                )
-            return out
+            return self._clipped_1d(X[:, 0], L)
         out = np.empty(len(X))
         for k, x in enumerate(X):
             out[k] = self._lipschitz_single(x, L)
@@ -233,7 +245,7 @@ class EnvelopeModel:
         X = _as_points(X, self.dimension)
         self._require_inside(X)
         if self.dimension == 1:
-            return self.lipschitz_value_many(X, L)
+            return self._clipped_1d(X[:, 0], L)
         F_grid = self.grid_envelope_values()
         out = np.empty(len(X))
         for start in range(0, len(X), 256):
@@ -248,14 +260,16 @@ class EnvelopeModel:
         if L is None:
             raise ValueError("no Lipschitz cap configured and none supplied")
         L = float(L)
-        sup_g = sup_norm_gradients(self.generator.jet)
-        if L < sup_g - 1e-12:
-            warnings.warn(
-                f"Lipschitz cap {L} is below sup|G| = {sup_g}; the capped "
-                "envelope will not interpolate the jet",
-                stacklevel=3,
-            )
+        _warn_low_cap(self.generator.jet, L, stacklevel=4)
         return L
+
+    def _clipped_1d(self, x, L):
+        """Exact 1-D F_L at abscissae x: the hull with slopes clipped to [-L, L]."""
+        hx, hy = self.hull_x, self.hull_y
+        slopes = np.diff(hy) / np.diff(hx)
+        a, b = np.searchsorted(slopes, -L), np.searchsorted(slopes, L, side="right")
+        inner = np.where(x > hx[b], hy[b] + L * (x - hx[b]), np.interp(x, hx, hy))
+        return np.where(x < hx[a], hy[a] + L * (hx[a] - x), inner)
 
     def _scan_nodes(self):
         """A coarse subgrid (at most ~1000 nodes) for global scans.
@@ -415,8 +429,7 @@ def write_samples_csv(model: EnvelopeModel, path, lipschitz: Optional[float] = N
     cols = [X[:, k] for k in range(d)] + [g, m_vals, F]
     header = [f"x{k + 1}" for k in range(d)] + ["g", "m", "F"]
     if L is not None:
-        capped = model.lipschitz_value_many(X, L) if d == 1 else model.lipschitz_values_grid(X, L)
-        cols.append(capped)
+        cols.append(model.lipschitz_values_grid(X, L))
         header.append("F_L")
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

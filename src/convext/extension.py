@@ -25,16 +25,16 @@ with a 5 % multiplicative slack plus an additive discretization term
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .envelope import EnvelopeModel, Generator, build_envelope, minorant
+from .envelope import EnvelopeModel, Generator, _warn_low_cap, build_envelope, minorant
 from .jet import (
     InfeasibleJetError,
     Jet,
+    _pairwise_norms,
     check_condition_C,
     check_condition_CW1,
     compute_A,
@@ -199,18 +199,11 @@ def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
             )
 
     L = None
-    if cfg.lipschitz is not None:
-        sup_g = sup_norm_gradients(jet)
-        if cfg.lipschitz == "auto":
-            L = sup_g
-        else:
-            L = float(cfg.lipschitz)
-            if L < sup_g - 1e-12:
-                warnings.warn(
-                    f"requested Lipschitz cap {L} is below sup|G| = {sup_g}; "
-                    "the capped envelope will not interpolate",
-                    stacklevel=2,
-                )
+    if cfg.lipschitz == "auto":
+        L = sup_norm_gradients(jet)
+    elif cfg.lipschitz is not None:
+        L = float(cfg.lipschitz)
+        _warn_low_cap(jet, L, stacklevel=3)
 
     if cfg.domain is None:
         lo, hi = default_domain(jet)
@@ -322,7 +315,7 @@ def verify_extension(
     G_pts = model.gradient_many(pts)
 
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _pairwise_norms(pts)
     keep = dist >= min_separation
 
     # empirical least-constant: (F(x) - F(y) - <gF(y), x-y>) / phi(|x-y|)
@@ -331,7 +324,7 @@ def verify_extension(
         ratios_A = np.where(keep, numer / m.phi(dist), -np.inf)
     empirical_A = float(np.max(ratios_A))
 
-    dG = np.sqrt(np.sum((G_pts[:, None, :] - G_pts[None, :, :]) ** 2, axis=2))
+    dG = _pairwise_norms(G_pts)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios_lip = np.where(keep, dG / m.omega(dist), -np.inf)
     empirical_lip_grad = float(np.max(ratios_lip))
@@ -390,12 +383,7 @@ def verify_extension(
         # grid-restricted infimal convolution, which is exactly L-Lipschitz
         xs = _sample_interior(model, rng, samples, pad=0.0)
         ys = _sample_interior(model, rng, samples, pad=0.0)
-        if model.dimension == 1:
-            FLx = model.lipschitz_value_many(xs)
-            FLy = model.lipschitz_value_many(ys)
-        else:
-            FLx = model.envelope.lipschitz_values_grid(xs, L)
-            FLy = model.envelope.lipschitz_values_grid(ys, L)
+        FLx, FLy = (model.envelope.lipschitz_values_grid(p, L) for p in (xs, ys))
         d = np.sqrt(np.sum((xs - ys) ** 2, axis=1))
         ok = d > 1e-12
         ratios = np.abs(FLx[ok] - FLy[ok]) / d[ok]

@@ -475,7 +475,6 @@ def feasibility_report(jet: Jet, m: Modulus, tol: float = 1e-9) -> FeasibilityRe
     else:
         A, per_pair = seminorm_A_extrinsic(jet, m, tol), []
         route = "extrinsic"
-    lip = lip_omega_gradients(jet, m)
     rel = seminorm_relation_report(jet, m, A)
     return FeasibilityReport(
         condition_C=cond_c,
@@ -483,7 +482,7 @@ def feasibility_report(jet: Jet, m: Modulus, tol: float = 1e-9) -> FeasibilityRe
         A=A,
         A_route=route,
         per_pair_M=per_pair,
-        lip_omega_G=lip,
+        lip_omega_G=rel["lip_omega_G"],
         L=sup_norm_gradients(jet),
         relation=rel,
     )

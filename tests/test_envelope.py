@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,38 @@ class TestLipschitzEnvelope1D:
         model = build_envelope(gen, [-5.0], [5.0], 201)
         with pytest.warns(UserWarning, match="below sup"):
             model.lipschitz_value([0.0], 0.5)
+
+    def test_slope_clipping_matches_vertex_minimum(self, rng):
+        """The exact cap equals min(min_k y_k + L|x - x_k|, F(x)) bit for bit."""
+        for n in (2, 3, 5, 8):
+            jet = normalized_jet(rng, 1, n, HolderModulus(0.5))
+            model = build_envelope(Generator(jet, HolderModulus(0.5), 1.0), *_box(jet), 1001)
+            hx, hy = model.hull_x, model.hull_y
+            slopes = np.diff(hy) / np.diff(hx)
+            sup_g = sup_norm_gradients(jet)
+            caps = (0.0, 0.5 * sup_g, sup_g, 2.0 * sup_g, 2.0 * np.max(np.abs(slopes)))
+            for L in caps:
+                a = np.searchsorted(slopes, -L)
+                b = np.searchsorted(slopes, L, side="right")
+                near = hx[[a, b]][:, None] + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3])
+                x = np.clip(np.concatenate([
+                    hx, model.lo, model.hi, near.ravel(), rng.uniform(model.lo[0], model.hi[0], 500),
+                ]), model.lo[0], model.hi[0])
+                trav = hy[None, :] + L * np.abs(x[:, None] - hx[None, :])
+                expected = np.minimum(np.min(trav, axis=1), np.interp(x, hx, hy))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    got = model.lipschitz_value_many(x[:, None], L)
+                    grid = model.lipschitz_values_grid(x[:, None], L)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(grid, expected)
+
+    def test_capped_bulk_warns_once_per_call(self):
+        model = build_envelope(example_generator(), [-5.0], [5.0], 201)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model.lipschitz_values_grid(np.zeros((3, 1)), 0.5)
+        assert len(caught) == 1
 
 
 class TestSmoothnessTransfer:
