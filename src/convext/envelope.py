@@ -431,7 +431,8 @@ def write_samples_csv(model: EnvelopeModel, path, lipschitz: Optional[float] = N
     if L is not None:
         cols.append(model.lipschitz_values_grid(X, L))
         header.append("F_L")
+    fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for row in zip(*(c.tolist() for c in cols)):
+            fh.write(fmt % row)

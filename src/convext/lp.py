@@ -9,6 +9,11 @@ i.e. d + 1 equality rows over N grid columns.  Instances are small in the
 row dimension, so a plain dense tableau with Dantzig pricing is fast; a
 switch to Bland's rule after a stall guarantees termination on the (very
 degenerate) regular grids this is used on.
+
+Above 600 columns, ``convex_combination_min`` runs delayed column generation
+from a seed set of the k grid nodes nearest x, ties broken by index as in a
+stable sort.  The seed set is found by partial selection (``np.partition``),
+not by sorting every node.
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ class SimplexError(RuntimeError):
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    piv = T[row]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, piv)
+    T -= colvals[:, None] * T[row]
     basis[row] = col
 
 
@@ -38,36 +42,38 @@ def _solve_phase(T, basis, cost, tol, max_iter):
     stall = 0
     best_obj = np.inf
     bland = False
-    for _ in range(max_iter):
-        y = cost[basis]
-        reduced = cost[:n] - y @ T[:, :n]
-        if bland:
-            negs = np.where(reduced < -tol)[0]
-            if negs.size == 0:
-                return
-            col = int(negs[0])
-        else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -tol:
-                return
-        colvec = T[:, col]
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # one errstate per phase, not per pivot: on tableaux this small it
+    # costs about as much as the pivot itself
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            y = cost[basis]
+            reduced = cost[:n] - y @ T[:, :n]
+            if bland:
+                negs = np.flatnonzero(reduced < -tol)
+                if negs.size == 0:
+                    return
+                col = int(negs[0])
+            else:
+                col = int(reduced.argmin())
+                if reduced[col] >= -tol:
+                    return
+            colvec = T[:, col]
             ratios = np.where(colvec > tol, T[:, n] / colvec, np.inf)
-        if not np.any(np.isfinite(ratios)):
-            raise SimplexError("unbounded subproblem")
-        rmin = np.min(ratios)
-        # tie-break on the smallest basis index (Bland-compatible)
-        cand = np.where(ratios <= rmin + tol * (1.0 + abs(rmin)))[0]
-        row = int(cand[np.argmin(basis[cand])])
-        _pivot(T, basis, row, col)
-        obj = float(cost[basis] @ T[:, n])
-        if obj < best_obj - tol:
-            best_obj = obj
-            stall = 0
-        else:
-            stall += 1
-            if stall > 50:
-                bland = True
+            rmin = ratios.min()
+            if rmin == np.inf:      # no NaN here: the tableau stays finite
+                raise SimplexError("unbounded subproblem")
+            # tie-break on the smallest basis index (Bland-compatible)
+            cand = np.flatnonzero(ratios <= rmin + tol * (1.0 + abs(rmin)))
+            row = int(cand[basis[cand].argmin()])
+            _pivot(T, basis, row, col)
+            obj = float(cost[basis] @ T[:, n])
+            if obj < best_obj - tol:
+                best_obj = obj
+                stall = 0
+            else:
+                stall += 1
+                if stall > 50:
+                    bland = True
     raise SimplexError("simplex did not converge")
 
 
@@ -94,7 +100,7 @@ def _solve_standard(A, b, c, tol=1e-9, max_iter=20000):
     redundant = []
     for row in range(m):
         if basis[row] >= n:
-            pivots = np.where(np.abs(T[row, :n]) > tol)[0]
+            pivots = np.flatnonzero(np.abs(T[row, :n]) > tol)
             if pivots.size:
                 _pivot(T, basis, row, int(pivots[0]))
             else:
@@ -123,6 +129,21 @@ def simplex_min(A, b, c, tol=1e-9, max_iter=20000):
     return x, obj
 
 
+def _nearest(d2, k):
+    """Sorted indices of the k smallest entries of d2, ties broken by index.
+
+    The same set as ``np.unique(np.argsort(d2, kind="stable")[:k])``, found
+    by partial selection: everything below the k-th smallest value, plus the
+    lowest-indexed entries equal to it.
+    """
+    if k >= d2.size:
+        return np.arange(d2.size)
+    kth = np.partition(d2, k - 1)[k - 1]
+    less = np.flatnonzero(d2 < kth)
+    ties = np.flatnonzero(d2 == kth)[:k - less.size]
+    return np.union1d(less, ties)
+
+
 def convex_combination_min(points, values, x, tol=1e-9):
     """min sum lambda_j values_j over convex combinations of points hitting x.
 
@@ -130,9 +151,11 @@ def convex_combination_min(points, values, x, tol=1e-9):
     optimum uses at most d + 1 points with positive weight.
 
     Large column counts are handled by delayed column generation: solve on a
-    working set seeded with the nodes nearest x, price every column against
-    the restricted duals (one mat-vec), pull in the most violated columns,
-    and repeat until no column prices out.  This is exact on termination.
+    working set seeded with the k nodes nearest x (ties broken by index,
+    found by partial selection; k doubles until x lies in their hull), price
+    every column against the restricted duals (one mat-vec), pull in the
+    most violated columns, and repeat until no column prices out.  This is
+    exact on termination.
     """
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -145,25 +168,24 @@ def convex_combination_min(points, values, x, tol=1e-9):
         lam, obj = simplex_min(A, b, values, tol=tol)
         return lam, obj
 
-    order = np.argsort(np.sum((points - x) ** 2, axis=1), kind="stable")
+    d2 = np.sum((points - x) ** 2, axis=1)
     k = max(32, 3 ** d)
-    working = None
-    for _ in range(30):
-        working = np.unique(order[:k])
+    while True:
+        working = _nearest(d2, k)
         try:
             sol, obj, basis, dropped = _solve_standard(A[:, working], b, values[working], tol=tol)
             if dropped == 0:
                 break
         except SimplexError:
             pass
+        if k >= N:              # the full column set failed too
+            raise SimplexError("could not seed a feasible working set")
         k = min(N, 2 * k)       # x not yet inside the working set's hull
-    else:
-        raise SimplexError("could not seed a feasible working set")
 
+    scale = tol * (1.0 + float(np.max(np.abs(values))))
     for _ in range(500):
         y = np.linalg.solve(A[:, working[basis]].T, values[working[basis]])
         reduced = values - A.T @ y
-        scale = tol * (1.0 + float(np.max(np.abs(values))))
         candidates = np.argpartition(reduced, 5)[:5]
         candidates = candidates[reduced[candidates] < -scale]
         if candidates.size == 0:

@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from convext import lp
 from convext.envelope import (
     Generator,
     brute_force_envelope,
@@ -12,12 +14,18 @@ from convext.envelope import (
 )
 from convext.fixtures import single_parabola_jet, two_point_power_jet
 from convext.jet import Jet, seminorm_A_intrinsic, sup_norm_gradients
-from convext.lp import convex_combination_min, simplex_min
+from convext.lp import SimplexError, convex_combination_min, simplex_min
 from convext.modulus import HolderModulus, LinearModulus
 
 from conftest import normalized_jet, random_modulus
 
 AFFINE_JET = Jet([[-1.0], [1.0]], [-2.0, 4.0], [[3.0], [3.0]])  # f(t) = 3t + 1
+
+
+def _grid(m, d):
+    """The m^d nodes of the regular grid on [-1, 1]^d, as an (m^d, d) array."""
+    axis = np.linspace(-1.0, 1.0, m)
+    return np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
 
 
 def example_generator():
@@ -322,6 +330,52 @@ class TestSimplex:
         x, obj = simplex_min(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0]))
         assert obj == pytest.approx(1.0)
         assert x[0] == pytest.approx(1.0)
+
+    def test_nearest_matches_stable_sort(self, rng):
+        # regular grids tie distances everywhere, most of all off the nodes
+        for m, d in [(65, 2), (33, 3), (9, 2)]:
+            pts = _grid(m, d)
+            N, h = len(pts), 2.0 / (m - 1)
+            for offset in (0.0, 0.5, 0.25):
+                for node in rng.integers(0, N, size=4):
+                    d2 = np.sum((pts - (pts[node] + offset * h)) ** 2, axis=1)
+                    for k in (1, 27, 32, N - 1, N, 2 * N):
+                        expected = np.unique(np.argsort(d2, kind="stable")[:k])
+                        assert np.array_equal(lp._nearest(d2, k), expected)
+
+    def test_column_generation_matches_dense(self, rng):
+        pts = _grid(33, 2)  # 1089 columns: above the dense branch's 600
+        vals = rng.uniform(0, 1, size=len(pts)) + np.sum(pts ** 2, axis=1)
+        h = 2.0 / 32
+        queries = np.vstack([
+            pts[rng.integers(0, len(pts), size=5)],
+            rng.integers(0, 32, size=(5, 2)) * h - 1.0 + h / 2,
+            rng.uniform(-1, 1, size=(5, 2)),
+        ])
+        A = np.vstack([pts.T, np.ones(len(pts))])
+        for x in queries:
+            lam, obj = convex_combination_min(pts, vals, x)
+            _, dense = simplex_min(A, np.append(x, 1.0), vals)
+            assert abs(obj - dense) <= 1e-10 * (1.0 + abs(obj))
+            assert lam.min() >= -1e-9
+            assert np.allclose(pts.T @ lam, x, atol=1e-8)
+            assert np.isclose(lam.sum(), 1.0, atol=1e-9)
+            assert obj == pytest.approx(vals @ lam, abs=1e-10)
+
+    def test_infeasible_seed_stops_at_full_set(self, monkeypatch):
+        pts = _grid(33, 2)
+        calls = []
+        solve = lp._solve_standard
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[1])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "_solve_standard", counted)
+        with pytest.raises(SimplexError, match="could not seed"):
+            convex_combination_min(pts, np.zeros(len(pts)), np.array([2.0, 2.0]))
+        assert len(calls) <= math.ceil(math.log2(len(pts) / 32)) + 1
+        assert calls[-1] == len(pts)
 
 
 class TestCsvExport:
