@@ -115,10 +115,10 @@ def cmd_constants(args) -> int:
     jet = _load_jet(args.jet)
     modulus = parse_modulus_spec(args.modulus)
     out = {"L": sup_norm_gradients(jet), "A_intrinsic": None}
-    A = seminorm_A_extrinsic(jet, modulus)
+    A = seminorm_A_extrinsic(jet, modulus, feas_tol=args.tol)
     out["A_extrinsic"] = _json_float(A)
     if modulus.coercive:
-        A, _ = seminorm_A_intrinsic(jet, modulus)
+        A, _ = seminorm_A_intrinsic(jet, modulus, feas_tol=args.tol)
         out["A_intrinsic"] = _json_float(A)
     rel = seminorm_relation_report(jet, modulus, A)
     out["lip_omega_G"] = rel["lip_omega_G"]
@@ -127,15 +127,13 @@ def cmd_constants(args) -> int:
     return EXIT_OK if np.isfinite(A) else EXIT_FAILED
 
 
-def _run_extension(args, jet, cfg) -> int:
-    model = build_extension(jet, cfg)
-    report = verify_extension(model, samples=args.samples, seed=args.seed)
-    payload = {"model": model.manifest(), "verification": report.to_json()}
+def _write_outputs(args, payload, model, report) -> int:
+    """Write the report, then the samples CSV and gnuplot script if asked."""
     _emit_json(payload, args.report)
     if args.out:
         write_samples_csv(model.envelope, args.out)
         if args.gnuplot:
-            script = _gnuplot_script(args.out, jet.dimension, model.L is not None)
+            script = _gnuplot_script(args.out, model.dimension, model.L is not None)
             with open(args.out + ".gp", "w") as fh:
                 fh.write(script)
     return EXIT_OK if report.ok else EXIT_FAILED
@@ -152,7 +150,9 @@ def cmd_extend(args) -> int:
         domain=_parse_domain(args.domain, jet.dimension),
         resolution=args.resolution,
     )
-    return _run_extension(args, jet, cfg)
+    model = build_extension(jet, cfg)
+    report = verify_extension(model, samples=args.samples, seed=args.seed)
+    return _write_outputs(args, {"model": model.manifest(), "verification": report.to_json()}, model, report)
 
 
 def cmd_c1(args) -> int:
@@ -172,10 +172,7 @@ def cmd_c1(args) -> int:
         "construction": cm.to_json(),
         "verification": report.to_json(),
     }
-    _emit_json(payload, args.report)
-    if args.out:
-        write_samples_csv(model.envelope, args.out)
-    return EXIT_OK if report.ok else EXIT_FAILED
+    return _write_outputs(args, payload, model, report)
 
 
 def _print_table(rows):

@@ -23,8 +23,8 @@ delta and delta1 are evaluated on the front only.
   lifted by M * phi(|x - y|), dominates every other tangent plane.  The
   intrinsic route solves one scalar equation per front pair through the
   Fenchel conjugate of phi; the extrinsic route maximizes the defining
-  ratio over a 1-D reduction in the witness point x.  Both agree for
-  increasing, unbounded moduli.
+  ratio over a 1-D reduction in the witness point x.  Each modulus kind
+  solves both exactly; they agree for increasing, unbounded moduli.
 * ``lip_omega_gradients``: the omega-Hoelder seminorm of G on E.
 * ``sup_norm_gradients``: L = sup |G|, the sharp Lipschitz constant of any
   convex extension.
@@ -58,8 +58,6 @@ __all__ = [
     "seminorm_relation_report",
     "feasibility_report",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def _pairwise_norms(X):
@@ -263,20 +261,24 @@ def _feasibility_mask(C, f, tol):
 
 
 def _pair_constants(c, s, m: Modulus):
-    """The root M of M * phi_star(s / M) = c, elementwise over pairs with c, s > 0."""
-    alpha = m.holder_exponent
-    if alpha is not None:
-        base = alpha * np.power(s, 1.0 + 1.0 / alpha) / ((1.0 + alpha) * c)
-        return np.power(base, alpha) / m.holder_scale
-    lo = np.full(c.shape, 1e-12)
-    hi = np.full(c.shape, 1e12)
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        val = mid * m.phi_star(s / mid)
-        larger = val > c           # value decreases in M: root is above mid
-        lo = np.where(larger, mid, lo)
-        hi = np.where(larger, hi, mid)
-    return np.sqrt(lo * hi)
+    """The root M of M * phi_star(s / M) = c, elementwise over pairs with c, s > 0.
+
+    With sigma = s / M the equation reads phi_star(sigma) = (c / s) sigma,
+    which each modulus kind solves exactly.
+    """
+    return s / m._conjugate_root(c / s)
+
+
+def _pair_ratios(c, s, m: Modulus):
+    """max(0, sup over r > 0 of (s r - c) / phi(r)), elementwise over pairs with c, s > 0.
+
+    The maximizer depends on c / s only and each modulus kind finds it
+    exactly; a bounded modulus adds the r -> inf limit s / sup(omega).
+    """
+    r = m._ratio_argmax(c / s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # s / inf = 0 floors unbounded moduli; fmax drops 0/0 at flat moduli
+        return np.fmax((s * r - c) / m.phi(r), s / m.omega_sup)
 
 
 def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
@@ -284,11 +286,11 @@ def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
 
     For each ordered pair with defect c >= 0 and gradient gap s, the minimal
     pair constant solves M * phi_star(s / M) = c (the map is non-increasing
-    in M).  Power moduli use the closed form
-    M = (alpha s^{1+1/alpha} / ((1+alpha) c))^alpha / scale; general
-    coercive moduli use a geometric bisection on [1e-12, 1e12].  The pair
-    constant increases in s and decreases in c, so only the Pareto-front
-    pairs of ``_pareto_pairs`` are solved.
+    in M).  In sigma = s / M it is phi_star(sigma) = (c / s) sigma, solved
+    exactly at any scale: in closed form for power moduli, and by one
+    quadratic on one segment for tables.  The pair constant increases in s
+    and decreases in c, so only the Pareto-front pairs of ``_pareto_pairs``
+    are solved.
 
     Returns (A, per_pair) where per_pair lists ((i, j), M_ij) for every
     front pair with a positive constant, in (y, z) order, and A = max over
@@ -322,54 +324,16 @@ def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
     return float(np.max(M)), per_pair
 
 
-def _max_ratio_batch(c, s, m: Modulus, r_lo=1e-8, r_hi=1e8, n_grid=400, refine=80):
-    """max over r > 0 of (s r - c) / phi(r), batched over pairs.
-
-    Assumes c > 0 and s > 0 elementwise.  A dense log grid brackets the
-    maximizer, a golden-section pass sharpens it, and for bounded moduli the
-    r -> inf limit s / sup(omega) is added as a candidate.
-    """
-    r = np.geomspace(r_lo, r_hi, n_grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = m.phi(r)
-        ratios = (s[:, None] * r[None, :] - c[:, None]) / phi[None, :]
-    best = np.argmax(ratios, axis=1)
-    lo = r[np.maximum(best - 1, 0)]
-    hi = r[np.minimum(best + 1, n_grid - 1)]
-
-    def val(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return (s * x - c) / m.phi(x)
-
-    a, b = lo.copy(), hi.copy()
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = val(x1), val(x2)
-    for _ in range(refine):
-        move_right = f1 < f2          # maximize
-        a = np.where(move_right, x1, a)
-        b = np.where(move_right, b, x2)
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
-        f1, f2 = val(x1), val(x2)
-    out = np.maximum(val((a + b) / 2.0), np.max(ratios, axis=1))
-    # 0/0 slots (degenerate flat moduli) must not poison the maximum
-    out = np.where(np.isnan(out), -np.inf, out)
-    if np.isfinite(m.omega_sup):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.maximum(out, s / m.omega_sup)
-    return out
-
-
 def seminorm_A_extrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
     """Least feasible constant via the witness-point ratio.
 
     For a fixed ordered pair, moving the witness x = y + r u with u aligned
     to G(z) - G(y) reduces the defining supremum to
-    sup_{r>0} (s r - c) / phi(r); the overall value is the max over the
-    Pareto-front pairs (the ratio increases in s and decreases in c),
-    floored at 0.  Works for any modulus; +inf when condition (C) fails or
-    a tangent pair has distinct gradients.
+    sup_{r>0} (s r - c) / phi(r), which each modulus kind maximizes exactly;
+    the overall value is the max over the Pareto-front pairs (the ratio
+    increases in s and decreases in c), floored at 0.  Works for bounded
+    moduli too; +inf when condition (C) fails or a tangent pair has distinct
+    gradients.
     """
     C, S, _ = pair_defects(jet)
     if np.any(_feasibility_mask(C, jet.values, feas_tol)):
@@ -379,7 +343,7 @@ def seminorm_A_extrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
         return np.inf
     if len(c) == 0:
         return 0.0
-    return float(max(0.0, np.max(_max_ratio_batch(c, s, m))))
+    return float(np.max(_pair_ratios(c, s, m)))
 
 
 def compute_A(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:

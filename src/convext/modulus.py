@@ -118,6 +118,33 @@ class Modulus:
     def _phi_star(self, s):
         raise NotImplementedError
 
+    # -- exact per-pair solutions behind the least constant A, for rho = c / s > 0:
+    # the power family here, overridden by tables and scalings; no other kind.
+
+    def _conjugate_root(self, rho):
+        """sigma > 0 with phi_star(sigma) = rho * sigma (coercive moduli only).
+
+        For omega = scale * t^alpha: sigma = scale * ((1 + 1/alpha) rho)^alpha.
+        """
+        alpha = self.holder_exponent
+        return self.holder_scale * np.power((1.0 + 1.0 / alpha) * rho, alpha)
+
+    def _ratio_argmax(self, rho):
+        """r > 0 maximizing (r - rho) / phi(r): (1 + alpha) rho / alpha for powers.
+
+        A bounded modulus whose ratio still increases as r -> inf returns a
+        finite r; callers add the limit 1 / omega_sup themselves.
+        """
+        alpha = self.holder_exponent
+        return (1.0 + alpha) / alpha * rho
+
+
+def _positive_root(b, e):
+    """The root v >= 0 of v^2 + 2 b v = e (e >= 0), free of cancellation."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(b * b + e)
+        return np.where(b < 0.0, sq - b, e / (b + sq))
+
 
 @dataclass(frozen=True)
 class ConjugatePair:
@@ -211,7 +238,9 @@ class TableModulus(Modulus):
         self._t = t
         self._w = w
         self._slopes = np.diff(w) / np.diff(t)
-        self._slope_end = float(self._slopes[-1]) if len(self._slopes) else 0.0
+        self._slope_end = float(self._slopes[-1])
+        # slope of the segment starting at each knot; the last one is open
+        self._seg_slopes = np.append(self._slopes, self._slope_end)
         # cumulative integral of omega at the knots (trapezoids are exact)
         self._Phi = np.concatenate(
             [[0.0], np.cumsum(np.diff(t) * (w[:-1] + w[1:]) / 2.0)]
@@ -248,13 +277,34 @@ class TableModulus(Modulus):
     def _omega_inv(self, s):
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(self._w, s, side="right") - 1, 0, len(self._w) - 1)
-        seg_slope = np.where(idx < len(self._slopes), self._slopes[np.minimum(idx, len(self._slopes) - 1)], self._slope_end)
-        return self._t[idx] + (s - self._w[idx]) / seg_slope
+        return self._t[idx] + (s - self._w[idx]) / self._seg_slopes[idx]
 
     def _phi_star(self, s):
         s = np.asarray(s, dtype=float)
         idx = np.clip(np.searchsorted(self._w, s, side="right") - 1, 0, len(self._w) - 1)
         return self._Psi[idx] + (s - self._w[idx]) * (self._t[idx] + self._omega_inv(s)) / 2.0
+
+    def _conjugate_root(self, rho):
+        # phi_star(sigma) / sigma rises through Psi_k / w_k at the knots; on the
+        # segment found, phi_star(w_k + v) = Psi_k + t_k v + v^2 / (2 a_k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(self._w > 0.0, self._Psi / self._w, 0.0)
+        k = np.searchsorted(q, rho, side="right") - 1
+        a = self._seg_slopes[k]
+        return self._w[k] + _positive_root(a * (self._t[k] - rho), 2.0 * a * (rho * self._w[k] - self._Psi[k]))
+
+    def _ratio_argmax(self, rho):
+        # the ratio's slope has the sign of F(r) = phi(r) - (r - rho) omega(r),
+        # which falls through zero once, in the segment before the first knot
+        # with t_k - Phi_k / w_k >= rho; there a u^2/2 + (t_k - rho) a u = F(t_k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = np.where(self._w > 0.0, self._t - self._Phi / self._w, 0.0)
+            k = np.searchsorted(tau, rho) - 1
+            b = self._t[k] - rho
+            u = _positive_root(b, 2.0 * (self._Phi[k] - b * self._w[k]) / self._seg_slopes[k])
+        # a flat tail has no interior maximum: stop at its first knot
+        length = np.append(np.diff(self._t), np.inf if self.coercive else 0.0)[k]
+        return self._t[k] + np.fmax(np.fmin(u, length), 0.0)
 
     def __repr__(self):
         return f"TableModulus({self.knots.tolist()!r})"
@@ -292,6 +342,12 @@ class ScaledModulus(Modulus):
 
     def _phi_star(self, s):
         return self.factor * self.base._phi_star(np.asarray(s, dtype=float) / self.factor)
+
+    def _conjugate_root(self, rho):
+        return self.factor * self.base._conjugate_root(rho)
+
+    def _ratio_argmax(self, rho):
+        return self.base._ratio_argmax(rho)
 
     def __repr__(self):
         return f"ScaledModulus({self.base!r}, factor={self.factor})"
@@ -349,65 +405,48 @@ def validate_modulus(m: Modulus, grid, rel_tol: float = 1e-9) -> ValidationRepor
         raise ValueError("grid must be non-empty")
     issues = []
 
-    def fail(check, where, residual):
-        issues.append(ValidationIssue(check, where, float(residual)))
+    def flag(where, *checks):
+        """Record each failed (name, mask, residual) check, row of where by row."""
+        bad = np.column_stack([mask for _, mask, _ in checks])
+        for i, k in zip(*np.nonzero(bad)):
+            name, _, residual = checks[k]
+            issues.append(ValidationIssue(name, tuple(where[i].tolist()), float(residual[i])))
 
     w0 = m.omega(0.0)
     if abs(w0) > rel_tol:
-        fail("omega(0)=0", (0.0,), w0)
+        issues.append(ValidationIssue("omega(0)=0", (0.0,), float(w0)))
 
     w = m.omega(grid)
-    scale = 1.0 + float(np.max(w)) if w.size else 1.0
-    tol = rel_tol * scale
-
-    for i in range(len(grid) - 1):
-        if w[i + 1] < w[i] - tol:
-            fail("monotone", (grid[i], grid[i + 1]), w[i] - w[i + 1])
+    tol = rel_tol * (1.0 + float(np.max(w)))
+    flag(np.column_stack([grid[:-1], grid[1:]]), ("monotone", w[1:] < w[:-1] - tol, w[:-1] - w[1:]))
 
     pos = grid > 0
     gp, wp = grid[pos], w[pos]
     # each interior point must sit on or above the chord of its neighbours
-    pts_t = np.concatenate([[0.0], gp])
-    pts_w = np.concatenate([[0.0], wp])
-    for i in range(len(pts_t) - 2):
-        t0, t1, t2 = pts_t[i], pts_t[i + 1], pts_t[i + 2]
-        w0, w1, w2 = pts_w[i], pts_w[i + 1], pts_w[i + 2]
-        chord = w0 + (w2 - w0) * (t1 - t0) / (t2 - t0)
-        if w1 < chord - tol:
-            fail("concave", (t0, t1, t2), chord - w1)
+    t, v = np.concatenate([[0.0], gp]), np.concatenate([[0.0], wp])
+    chord = v[:-2] + (v[2:] - v[:-2]) * (t[1:-1] - t[:-2]) / (t[2:] - t[:-2])
+    flag(np.column_stack([t[:-2], t[1:-1], t[2:]]), ("concave", v[1:-1] < chord - tol, chord - v[1:-1]))
 
     # omega(lambda t) <= lambda omega(t): all ordered pairs t_i <= t_j
-    for i in range(len(gp)):
-        for j in range(i + 1, len(gp)):
-            lhs = wp[j] * gp[i]
-            rhs = gp[j] * wp[i]
-            if lhs > rhs + tol * gp[j]:
-                fail("subhomogeneous", (gp[i], gp[j]), (lhs - rhs) / gp[j])
+    i, j = np.triu_indices(len(gp), k=1)
+    lhs, rhs = wp[j] * gp[i], gp[j] * wp[i]
+    flag(np.column_stack([gp[i], gp[j]]),
+         ("subhomogeneous", lhs > rhs + tol * gp[j], (lhs - rhs) / gp[j]))
 
+    at = grid[:, None]
     phi = m.phi(grid)
-    w_half = m.omega(grid / 2.0)
-    for i, t in enumerate(grid):
-        lo, hi = 0.5 * t * w[i], t * w_half[i]
-        if phi[i] < lo - tol * (1 + t):
-            fail("phi_lower", (t,), lo - phi[i])
-        if phi[i] > hi + tol * (1 + t):
-            fail("phi_upper", (t,), phi[i] - hi)
+    lo, hi = 0.5 * grid * w, grid * m.omega(grid / 2.0)
+    slack = tol * (1 + grid)
+    flag(at, ("phi_lower", phi < lo - slack, lo - phi), ("phi_upper", phi > hi + slack, phi - hi))
 
     if m.coercive:
         star = m.phi_star(grid)
-        inv = m.omega_inv(grid)
-        inv_half = m.omega_inv(grid / 2.0)
-        star_scale = 1.0 + float(np.max(np.abs(star)))
-        for i, t in enumerate(grid):
-            lo, hi = t * inv_half[i], 0.5 * t * inv[i]
-            if star[i] < lo - rel_tol * star_scale:
-                fail("phi_star_lower", (t,), lo - star[i])
-            if star[i] > hi + rel_tol * star_scale:
-                fail("phi_star_upper", (t,), star[i] - hi)
+        lo, hi = grid * m.omega_inv(grid / 2.0), 0.5 * grid * m.omega_inv(grid)
+        slack = rel_tol * (1.0 + float(np.max(np.abs(star))))
+        flag(at, ("phi_star_lower", star < lo - slack, lo - star),
+             ("phi_star_upper", star > hi + slack, star - hi))
         eq = phi + m.phi_star(w) - grid * w
-        for i, t in enumerate(grid):
-            if abs(eq[i]) > 1e-8 * (1.0 + abs(grid[i] * w[i])):
-                fail("conjugacy_equality", (t,), eq[i])
+        flag(at, ("conjugacy_equality", np.abs(eq) > 1e-8 * (1.0 + np.abs(grid * w)), eq))
 
     return ValidationReport(issues)
 

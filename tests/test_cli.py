@@ -87,6 +87,22 @@ class TestConstants:
         assert payload["relation"]["A"] == "inf"
 
 
+    def test_tol_is_honoured_like_validate(self, tmp_path):
+        # a defect of -1e-7 is infeasible at the default tolerance, slack at 1e-6
+        path = tmp_path / "dip.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "points": [[0.0], [1.0]], "values": [0.0, -1e-7],
+            "gradients": [[0.0], [0.0]],
+        }))
+        for cmd in ("validate", "constants"):
+            report = tmp_path / f"{cmd}.json"
+            argv = [cmd, str(path), "--modulus", "linear", "--report", str(report)]
+            assert main(argv) == 1
+            assert main(argv + ["--tol", "1e-6"]) == 0
+        payload = json.loads(report.read_text())
+        assert payload["A_extrinsic"] == payload["A_intrinsic"] == 0.0
+
+
 class TestExtend:
     def test_csv_and_report(self, halfsq_file, tmp_path, capsys):
         out = tmp_path / "samples.csv"
@@ -146,14 +162,18 @@ class TestC1Command:
             "gradients": [[float(v)] for v in t],
         }))
         report = tmp_path / "c1.json"
+        out = tmp_path / "c1.csv"
         code = main([
             "c1", str(jet_file), "--resolution", "2001",
-            "--samples", "500", "--report", str(report),
+            "--samples", "500", "--report", str(report), "--out", str(out), "--gnuplot",
         ])
         assert code == 0
         payload = json.loads(report.read_text())
         assert payload["construction"]["M"] == pytest.approx(2.0)
         assert payload["verification"]["ok"] is True
+        assert out.read_text().splitlines()[0] == "x1,g,m,F,F_L"
+        script = (tmp_path / "c1.csv.gp").read_text()
+        assert f'"{out}" using 1:5 with lines title "F_L"' in script
 
     def test_infeasible_jet(self, cw1_violator_file, capsys):
         code = main(["c1", cw1_violator_file])

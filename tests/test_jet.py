@@ -3,8 +3,8 @@ import pytest
 
 from convext.jet import (
     Jet,
-    _max_ratio_batch,
     _pair_constants,
+    _pair_ratios,
     _pareto_pairs,
     check_condition_C,
     check_condition_CW1,
@@ -165,6 +165,27 @@ class TestSeminormA:
                 lam * lip_omega_gradients(jet, m), rel=1e-12
             )
 
+    def test_exact_at_every_scale(self):
+        """t^2/2 on {0, eps}: both routes exact far from unit scale, where a
+        bracketed search for the pair constant would leave its bracket."""
+        bounded = TableModulus([[0, 0], [1, 1], [2, 1]])
+        for eps in (1e-10, 1e-9, 1.0, 1e9, 1e10):
+            jet = Jet([[0.0], [eps]], [0.0, eps * eps / 2.0], [[0.0], [eps]])
+            cases = [(LinearModulus(), 1.0)] + [
+                (HolderModulus(a), (2.0 * a / (1.0 + a)) ** a * eps ** (1.0 - a))
+                for a in (0.3, 0.5, 0.75)
+            ]
+            for m, expected in cases:
+                assert seminorm_A_intrinsic(jet, m)[0] == pytest.approx(expected, rel=1e-12, abs=0.0)
+                assert seminorm_A_extrinsic(jet, m) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            if eps <= 1.0 or eps >= 1e9:
+                expected = 1.0 if eps <= 1.0 else eps
+                assert seminorm_A_extrinsic(jet, bounded) == pytest.approx(expected, rel=1e-12, abs=0.0)
+            for m in (TableModulus([[0, 0], [1, 1], [3, 2]]),
+                      ScaledModulus(TableModulus([[0, 0], [0.5, 1], [2, 1.5]]), 3.0)):
+                a_int, _ = seminorm_A_intrinsic(jet, m)
+                assert seminorm_A_extrinsic(jet, m) == pytest.approx(a_int, rel=1e-12, abs=0.0)
+
     def test_alignment_reduction_vs_witness_sampling(self):
         """The 1-D reduction dominates and matches brute-force witness grids."""
         rng = np.random.default_rng(15)
@@ -240,7 +261,7 @@ class TestPairKernel:
             jet = random_feasible_jet(rng, int(rng.integers(1, 4)), int(rng.integers(2, 25)))
             _, _, c, s = _all_pairs(jet)
             for m in _kernel_moduli(rng):
-                ext_ref = float(max(0.0, np.max(_max_ratio_batch(c, s, m))))
+                ext_ref = float(np.max(_pair_ratios(c, s, m)))
                 assert seminorm_A_extrinsic(jet, m) == pytest.approx(ext_ref, rel=1e-12, abs=0.0)
                 if m.coercive:
                     A, _ = seminorm_A_intrinsic(jet, m)

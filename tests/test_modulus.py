@@ -92,6 +92,26 @@ class TestValidation:
         rep = validate_modulus(bad, [0.5, 1.0, 1.5, 2.0])
         assert not rep.ok
         assert any(issue.check == "concave" for issue in rep.issues)
+        # issues come check by check; the paired bounds alternate point by point
+        pinned = (
+            [("concave", (0.5, 1.0, 1.5))]
+            + [("subhomogeneous", p) for p in [(0.5, 1.5), (0.5, 2.0), (1.0, 1.5), (1.0, 2.0), (1.5, 2.0)]]
+            + [(c, (t,)) for t in (1.5, 2.0) for c in ("phi_lower", "phi_upper")]
+            + [(c, (t,)) for t in (1.5, 2.0) for c in ("phi_star_lower", "phi_star_upper")]
+        )
+        assert [(i.check, i.where) for i in rep.issues] == pinned
+        # a table that also decreases fails every check kind
+        worse = TableModulus([[0, 0], [1, 2], [2, 1], [3, 4]], validate=False)
+        rep = validate_modulus(worse, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        pinned = (
+            [("monotone", (1.0, 1.5)), ("monotone", (1.5, 2.0)), ("concave", (1.5, 2.0, 2.5))]
+            + [("subhomogeneous", p) for p in [(1.5, 3.0), (2.0, 2.5), (2.0, 3.0), (2.5, 3.0)]]
+            + [("phi_lower", (3.0,)), ("phi_upper", (3.0,))]
+            + [("phi_star_lower", (t,)) for t in (1.0, 1.5, 2.0, 2.5, 3.0)]
+            + [("phi_star_upper", (3.0,))]
+            + [("conjugacy_equality", (t,)) for t in (0.5, 1.0, 1.5)]
+        )
+        assert [(i.check, i.where) for i in rep.issues] == pinned
 
     def test_random_moduli_pass_suite(self):
         rng = np.random.default_rng(5)
@@ -116,6 +136,27 @@ class TestValidation:
             w = m.omega(t)
             resid = m.phi(t) + m.phi_star(w) - t * w
             assert np.all(np.abs(resid) <= 1e-8 * (1.0 + np.abs(t * w)))
+
+
+class TestPairSolutions:
+    def test_conjugate_root_and_ratio_argmax(self):
+        """sigma solves phi_star(sigma) = rho sigma, and no point of a dense
+        grid beats r* (or the bounded tail limit) on (r - rho) / phi(r)."""
+        rng = np.random.default_rng(17)
+        rho = np.geomspace(1e-3, 1e3, 41)
+        grid = np.geomspace(1e-5, 1e6, 4000)
+        for m in (HolderModulus(0.4), LinearModulus(), random_concave_table(rng),
+                  random_concave_table(rng, coercive=False),
+                  ScaledModulus(random_concave_table(rng), 2.5),
+                  ScaledModulus(HolderModulus(0.7), 0.3)):
+            if m.coercive:
+                sigma = m._conjugate_root(rho)
+                assert np.allclose(m.phi_star(sigma), rho * sigma, rtol=1e-12, atol=0.0)
+            r = m._ratio_argmax(rho)
+            at_r = (r - rho) / m.phi(r)
+            sampled = np.max((grid[None, :] - rho[:, None]) / m.phi(grid)[None, :], axis=1)
+            assert np.all(sampled <= np.maximum(at_r, 1.0 / m.omega_sup) * (1.0 + 1e-12))
+            assert np.all(sampled >= at_r - 1e-4 * np.abs(at_r))
 
 
 @given(alpha=st.floats(0.05, 1.0), factor=st.floats(0.1, 10.0),
