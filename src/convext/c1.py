@@ -229,7 +229,7 @@ def c1_extend(
     if cm.degenerate:
         cfg = ExtensionConfig(
             modulus=LinearModulus(), M="auto", lipschitz="auto",
-            smoothness_K=smoothness_K, domain=domain, resolution=resolution,
+            smoothness_K=smoothness_K, domain=domain, resolution=resolution, tol=tol,
         )
         model = build_extension(jet, cfg)
         report = verify_extension(model, samples=samples, seed=seed)
@@ -243,7 +243,7 @@ def c1_extend(
 
     cfg = ExtensionConfig(
         modulus=cm.omega, M=cm.M, lipschitz="auto",
-        smoothness_K=smoothness_K, domain=domain, resolution=resolution,
+        smoothness_K=smoothness_K, domain=domain, resolution=resolution, tol=tol,
     )
     model = build_extension(jet, cfg)
     report = verify_extension(model, samples=samples, seed=seed)

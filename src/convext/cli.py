@@ -149,6 +149,7 @@ def cmd_extend(args) -> int:
         smoothness_K=args.K,
         domain=_parse_domain(args.domain, jet.dimension),
         resolution=args.resolution,
+        tol=args.tol,
     )
     model = build_extension(jet, cfg)
     report = verify_extension(model, samples=args.samples, seed=args.seed)

@@ -26,8 +26,15 @@ Envelopes are computed over a bounded box:
 * d in {2, 3}: store the sampled grid; each query solves the tiny linear
   program  min sum lambda_j g(p_j)  over convex combinations of grid points
   hitting x (at most d + 1 points carry weight, so the optimum is a local
-  simplex).  The Lipschitz variant minimizes F(y) + L |x - y| over grid
-  nodes and refines with a shrinking pattern search.
+  simplex).  At a grid node p the LP is skipped when a conjugate
+  certificate proves F(p) = g(p): with i the active piece at p and
+  s = grad g_i(p), every other piece has g_k*(s) <= <s, p> - g(p) minus
+  the LP's pricing tolerance, where
+  g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M).  The tangent plane at p
+  then lies below g on all of R^d, so no combination of grid nodes beats
+  g(p).  This needs a coercive modulus and M > 0; a one-piece generator
+  passes at every node.  The Lipschitz variant minimizes F(y) + L |x - y|
+  over grid nodes and refines with a shrinking pattern search.
 * d > 3 is rejected: a grid representation is useless there.
 
 ``brute_force_envelope`` is an independent randomized upper-bound oracle
@@ -42,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .jet import Jet, sup_norm_gradients
-from .lp import convex_combination_min
+from .lp import _grid_constants, convex_combination_min
 from .modulus import Modulus
 
 __all__ = [
@@ -68,16 +75,49 @@ class Generator:
         # affine part f(y) - <G(y), y> is constant per jet point
         self._offset = jet.values - np.einsum("ij,ij->i", jet.points, jet.gradients)
 
+    def _pieces(self, X) -> np.ndarray:
+        """(len(X), n) values of every lifted tangent plane at the rows of X."""
+        D = _pairwise_dist(X, self.jet.points)
+        return self._offset[None, :] + X @ self.jet.gradients.T + self.M * self.modulus.phi(D)
+
     def value_many(self, X) -> np.ndarray:
         X = _as_points(X, self.jet.dimension)
-        D = _pairwise_dist(X, self.jet.points)
-        terms = self._offset[None, :] + X @ self.jet.gradients.T + self.M * self.modulus.phi(D)
-        return np.min(terms, axis=1)
+        return np.min(self._pieces(X), axis=1)
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     __call__ = value
+
+    def _exposed(self, X, margin) -> np.ndarray:
+        """Mask of the rows x of X where a tangent plane of g at x is
+        certified to lie below g everywhere.
+
+        With i the active piece at x and s = grad g_i(x) = G_i + M omega(r) u / r
+        (u = x - y_i, r = |u|; s = G_i at r = 0), the plane g(x) + <s, . - x>
+        lies below g_i, and below each other piece k when its conjugate
+        g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) is at most
+        <s, x> - g(x) - margin.  Then g(x) = conv(g)(x).  The conjugates are
+        finite only for coercive moduli and M > 0; otherwise no row passes.
+        """
+        X = _as_points(X, self.jet.dimension)
+        if not self.modulus.coercive or self.M == 0:
+            return np.zeros(len(X), dtype=bool)
+        jet, M = self.jet, self.M
+        pieces = self._pieces(X)
+        active = np.argmin(pieces, axis=1)
+        g = pieces[np.arange(len(X)), active]
+        u = X - jet.points[active]
+        r = np.sqrt(np.sum(u * u, axis=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lift = np.where(r > 0, M * self.modulus.omega(r) / r, 0.0)
+        s = jet.gradients[active] + lift[:, None] * u
+        worst = np.full(len(X), -np.inf)    # max of g_k*(s) over k != i
+        for k in range(jet.size):
+            dist = np.sqrt(np.sum((s - jet.gradients[k]) ** 2, axis=1))
+            conj = s @ jet.points[k] - jet.values[k] + M * self.modulus.phi_star(dist / M)
+            worst = np.where(active == k, worst, np.maximum(worst, conj))
+        return worst <= np.einsum("ij,ij->i", s, X) - g - margin
 
 
 def minorant(jet: Jet, X):
@@ -165,6 +205,9 @@ class EnvelopeModel:
             # LP is solved on box-normalized coordinates for conditioning
             self._span = self.hi - self.lo
             self._grid_scaled = (self.grid_points - self.lo) / self._span
+            self._lp_constants = _grid_constants(self._grid_scaled, self.grid_g)
+            # nodes where F = g is certified; the LP's pricing tolerance is the margin
+            self._exposed = generator._exposed(self.grid_points, self._lp_constants[1])
             self._grid_F = None
             self._scan_cache = None
 
@@ -195,19 +238,30 @@ class EnvelopeModel:
         out = np.empty(len(X))
         xs = (X - self.lo) / self._span
         for k, x in enumerate(xs):
-            _, out[k] = convex_combination_min(self._grid_scaled, self.grid_g, x)
+            _, out[k] = convex_combination_min(
+                self._grid_scaled, self.grid_g, x, constants=self._lp_constants
+            )
         return out
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def grid_envelope_values(self) -> np.ndarray:
-        """Envelope at every stored grid node (cached; d >= 2 solves one LP per node)."""
+        """Envelope at every stored grid node (cached; d >= 2 solves one LP
+        per node that the conjugate certificate does not clear)."""
         if self.dimension == 1:
             return np.interp(self.sample_x, self.hull_x, self.hull_y)
         if self._grid_F is None:
-            self._grid_F = self.value_many(self.grid_points)
+            self._grid_F = self._node_values(np.arange(len(self.grid_points)))
         return self._grid_F
+
+    def _node_values(self, idx) -> np.ndarray:
+        """F at the grid nodes idx: g where certified exposed, else one LP each."""
+        out = self.grid_g[idx]
+        rest = ~self._exposed[idx]
+        if np.any(rest):
+            out[rest] = self.value_many(self.grid_points[idx[rest]])
+        return out
 
     # -- Lipschitz-capped evaluation
 
@@ -276,7 +330,8 @@ class EnvelopeModel:
 
         The infimand F(y) + L|x - y| is convex in y, so a coarse global
         scan followed by local descent reaches its minimum; scanning the
-        full grid would cost one LP per node.
+        full grid would cost one LP per node that the certificate does not
+        clear.
         """
         if self._scan_cache is None:
             stride = 1
@@ -285,9 +340,9 @@ class EnvelopeModel:
                 stride *= 2
                 count = ((self.resolution + stride - 1) // stride) ** self.dimension
             idx = np.arange(self.resolution)[::stride]
-            mesh = np.meshgrid(*[self.axes[k][idx] for k in range(self.dimension)], indexing="ij")
-            nodes = np.column_stack([m.ravel() for m in mesh])
-            self._scan_cache = (nodes, self.value_many(nodes), stride)
+            mesh = np.meshgrid(*[idx] * self.dimension, indexing="ij")
+            flat = np.ravel_multi_index(tuple(mesh), (self.resolution,) * self.dimension).ravel()
+            self._scan_cache = (self.grid_points[flat], self._node_values(flat), stride)
         return self._scan_cache
 
     def _lipschitz_single(self, x, L):

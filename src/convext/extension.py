@@ -85,6 +85,8 @@ class ExtensionConfig:
     may be None (no capped variant), "auto" (cap at sup |G|) or an explicit
     cap.  ``smoothness_K`` overrides the midpoint-smoothness constant used
     in the verification bounds (for experiments with non-Euclidean norms).
+    ``tol`` is the feasibility tolerance of the jet checks and of A, and the
+    slack allowed below A for an explicit M.
     """
 
     modulus: Modulus
@@ -94,6 +96,7 @@ class ExtensionConfig:
     domain: Optional[tuple] = None
     resolution: Optional[int] = None
     safety_factor: float = 1.0
+    tol: float = 1e-9
 
 
 class ExtensionModel:
@@ -179,20 +182,20 @@ def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
     Raises :class:`InfeasibleJetError` when no constant works (A = +inf) and
     ``ValueError`` when an explicit M is below the least feasible constant.
     """
-    A = compute_A(jet, cfg.modulus)
+    A = compute_A(jet, cfg.modulus, cfg.tol)
     if not np.isfinite(A):
-        cond = check_condition_C(jet)
+        cond = check_condition_C(jet, cfg.tol)
         if not cond.ok:
             raise InfeasibleJetError("condition_C", cond.violations)
         # value domination holds, so some tangent pair has a gradient gap
-        cw1 = check_condition_CW1(jet)
+        cw1 = check_condition_CW1(jet, cfg.tol)
         raise InfeasibleJetError("finite_A", cw1.violations or [(-1, -1, np.inf)])
 
     if cfg.M == "auto":
         M = A * cfg.safety_factor
     else:
         M = float(cfg.M)
-        if M < A - 1e-9:
+        if M < A - cfg.tol:
             raise ConstantTooSmallError(
                 f"M={M} is below the least feasible constant A={A}; the "
                 "generator would cut below the prescribed values"

@@ -144,11 +144,20 @@ def _nearest(d2, k):
     return np.union1d(less, ties)
 
 
-def convex_combination_min(points, values, x, tol=1e-9):
+def _grid_constants(points, values, tol=1e-9):
+    """What every query on one grid shares: the constraint matrix
+    [points.T; 1] and the pricing threshold tol (1 + max|values|)."""
+    A = np.vstack([points.T, np.ones(len(points))])
+    return A, tol * (1.0 + float(np.max(np.abs(values))))
+
+
+def convex_combination_min(points, values, x, tol=1e-9, *, constants=None):
     """min sum lambda_j values_j over convex combinations of points hitting x.
 
     ``points`` is (N, d), ``x`` is (d,).  Returns (lambda, objective); the
-    optimum uses at most d + 1 points with positive weight.
+    optimum uses at most d + 1 points with positive weight.  Callers that
+    query one grid many times pass ``constants=_grid_constants(points,
+    values, tol)``, built once, instead of having it rebuilt per query.
 
     Large column counts are handled by delayed column generation: solve on a
     working set seeded with the k nodes nearest x (ties broken by index,
@@ -161,7 +170,7 @@ def convex_combination_min(points, values, x, tol=1e-9):
     values = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float).reshape(-1)
     N, d = points.shape
-    A = np.vstack([points.T, np.ones(N)])
+    A, scale = _grid_constants(points, values, tol) if constants is None else constants
     b = np.concatenate([x, [1.0]])
 
     if N <= 600:
@@ -182,7 +191,6 @@ def convex_combination_min(points, values, x, tol=1e-9):
             raise SimplexError("could not seed a feasible working set")
         k = min(N, 2 * k)       # x not yet inside the working set's hull
 
-    scale = tol * (1.0 + float(np.max(np.abs(values))))
     for _ in range(500):
         y = np.linalg.solve(A[:, working[basis]].T, values[working[basis]])
         reduced = values - A.T @ y

@@ -144,6 +144,35 @@ class TestExtend:
         assert code == 1
         assert "below the least feasible" in capsys.readouterr().err
 
+    def test_tol_is_honoured_like_validate(self, tmp_path, capsys):
+        # the dip of TestConstants: infeasible at the default tolerance, slack at 1e-6
+        path = tmp_path / "dip.json"
+        path.write_text(json.dumps({
+            "dimension": 1, "points": [[0.0], [1.0]], "values": [0.0, -1e-7],
+            "gradients": [[0.0], [0.0]],
+        }))
+        report = tmp_path / "rep.json"
+        auto = ["extend", str(path), "--modulus", "linear", "--report", str(report)]
+        argv = auto + ["--M", "1"]
+        assert main(argv) == 1
+        assert "condition_C" in capsys.readouterr().err
+        assert not report.exists()
+        assert main(argv + ["--tol", "1e-6"]) == 0
+        assert json.loads(report.read_text())["model"]["A"] == 0.0
+        # with M = A = 0 no convex function can take the dip: the build goes
+        # through and the interpolation check reports the 1e-7 miss
+        assert main(auto + ["--tol", "1e-6"]) == 1
+        checks = json.loads(report.read_text())["verification"]["bound_checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == ["interpolation_error"]
+
+    def test_M_tolerance_follows_tol(self, tmp_path, capsys):
+        A = 1.1547005383792515  # two_point_power.json under holder:0.5
+        argv = ["extend", fixture_path("two_point_power.json"), "--modulus", "holder:0.5",
+                "--M", repr(A - 1e-7), "--report", str(tmp_path / "rep.json")]
+        assert main(argv) == 1
+        assert "below the least feasible" in capsys.readouterr().err
+        assert main(argv + ["--tol", "1e-6"]) == 0
+
     def test_bad_domain_is_input_error(self, halfsq_file):
         code = main([
             "extend", halfsq_file, "--modulus", "linear", "--domain", "-3",

@@ -15,9 +15,9 @@ from convext.envelope import (
 from convext.fixtures import single_parabola_jet, two_point_power_jet
 from convext.jet import Jet, seminorm_A_intrinsic, sup_norm_gradients
 from convext.lp import SimplexError, convex_combination_min, simplex_min
-from convext.modulus import HolderModulus, LinearModulus
+from convext.modulus import HolderModulus, LinearModulus, ScaledModulus
 
-from conftest import normalized_jet, random_modulus
+from conftest import normalized_jet, random_concave_table, random_convex_function, random_modulus
 
 AFFINE_JET = Jet([[-1.0], [1.0]], [-2.0, 4.0], [[3.0], [3.0]])  # f(t) = 3t + 1
 
@@ -299,6 +299,82 @@ class TestEnvelope2D:
         with pytest.raises(ValueError):
             brute_force_envelope(Generator(Jet(np.zeros((1, 3)), [0.0], np.zeros((1, 3))), LinearModulus(), 1.0),
                                  np.zeros(3), 10, np.random.default_rng(0))
+
+
+class TestExposedNodes:
+    """Grid nodes cleared by the conjugate certificate skip the LP."""
+
+    @staticmethod
+    def _lp_at(model, idx):
+        """One-shot LP value at each grid node idx, as before the certificate."""
+        return np.array([convex_combination_min(model._grid_scaled, model.grid_g, x)[1]
+                         for x in model._grid_scaled[idx]])
+
+    def test_cleared_nodes_take_the_lp_value(self, rng):
+        table = random_concave_table(rng)
+        moduli = [HolderModulus(0.6), LinearModulus(), table, ScaledModulus(HolderModulus(0.8), 2.5)]
+        cleared = 0
+        for d in (2, 3):
+            for m in moduli:
+                jet = normalized_jet(rng, d, 4, m, spread=0.8)
+                for M in (1.0, 1.5):        # A = 1 after normalization
+                    model = build_envelope(Generator(jet, m, M), *_box(jet), 33)
+                    idx = np.flatnonzero(model._exposed)
+                    cleared += idx.size
+                    idx = rng.choice(idx, size=min(120, idx.size), replace=False)
+                    assert np.array_equal(self._lp_at(model, idx), model.grid_g[idx])
+        assert cleared > 0
+
+    def test_grid_values_match_the_lp_at_every_node(self, rng):
+        jet = normalized_jet(rng, 2, 5, HolderModulus(0.75), spread=0.8)
+        model = build_envelope(Generator(jet, HolderModulus(0.75), 1.2), *_box(jet), 33)
+        assert 0 < np.count_nonzero(model._exposed) < len(model.grid_points)
+        every = np.arange(len(model.grid_points))
+        assert np.array_equal(model.grid_envelope_values(), self._lp_at(model, every))
+        # the pattern search scans the strided subgrid and takes the same values
+        nodes, F_nodes, stride = model._scan_nodes()
+        sub = np.meshgrid(*[ax[::stride] for ax in model.axes], indexing="ij")
+        assert np.array_equal(nodes, np.column_stack([m.ravel() for m in sub]))
+        assert np.array_equal(F_nodes, model.value_many(nodes))
+
+    def test_jet_points_on_nodes_are_cleared_above_A(self, rng):
+        # at y_i the slope is G_i and the test is the pair condition with phi*,
+        # which holds strictly once M > A
+        value, grad = random_convex_function(rng, 2)
+        axis = np.linspace(-4.0, 4.0, 33)
+        pts = np.column_stack([axis[[14, 16, 18, 15]], axis[[15, 18, 16, 13]]])
+        jet = Jet(pts, value(pts), grad(pts))
+        m = LinearModulus()
+        A, _ = seminorm_A_intrinsic(jet, m)
+        model = build_envelope(Generator(jet, m, 1.5 * A), [-4.0, -4.0], [4.0, 4.0], 33)
+        at = [np.flatnonzero(np.all(model.grid_points == y, axis=1))[0] for y in pts]
+        assert np.all(model._exposed[at])
+
+    def test_margin_is_subtracted(self):
+        # two pieces on one plane, the second lifted by eps: at y_0 the other
+        # piece's conjugate sits exactly eps below the plane's bound
+        eps = 1e-6
+        jet = Jet([[0.0, 0.0], [1.0, 0.0]], [0.0, 1.0 + eps], [[1.0, 0.0], [1.0, 0.0]])
+        gen = Generator(jet, LinearModulus(), 1.0)
+        assert gen._exposed([[0.0, 0.0]], 0.5 * eps)[0]
+        assert not gen._exposed([[0.0, 0.0]], 2.0 * eps)[0]
+
+    def test_one_piece_clears_every_node(self):
+        for d in (2, 3):
+            jet = Jet([[0.25] * d], [0.5], [[1.0] * d])
+            model = build_envelope(Generator(jet, LinearModulus(), 1.0), [-2.0] * d, [2.0] * d, 33)
+            assert np.all(model._exposed)
+            idx = np.arange(0, len(model.grid_points), 97)
+            assert np.array_equal(self._lp_at(model, idx), model.grid_g[idx])
+
+    def test_zero_M_and_bounded_table_clear_nothing(self, rng):
+        jet = normalized_jet(rng, 2, 4, LinearModulus(), spread=0.8)
+        bounded = random_concave_table(rng, coercive=False)
+        for m, M in ((LinearModulus(), 0.0), (bounded, 2.0)):
+            model = build_envelope(Generator(jet, m, M), *_box(jet), 33)
+            assert not np.any(model._exposed)
+            idx = np.arange(0, len(model.grid_points), 11)
+            assert np.array_equal(model._node_values(idx), self._lp_at(model, idx))
 
 
 class TestSimplex:
