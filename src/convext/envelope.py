@@ -12,33 +12,23 @@ modulus profile), and the *minorant*
 is the pointwise maximum of the tangent planes.  The convex extension is
 the convex envelope F = conv(g), sandwiched between m and g; the variant
 with the sharp Lipschitz constant is the largest convex L-Lipschitz
-function below g, computed as F_L(x) = inf_y F(y) + L |x - y|.
+function below g, F_L(x) = inf_y F(y) + L |x - y|.
 
-Envelopes are computed over a bounded box:
-
-* d = 1: sample g on a uniform grid plus all jet points and take the lower
-  convex hull of the planar graph (one monotone-chain pass).  Evaluation is
-  piecewise-linear interpolation on hull vertices.  The Lipschitz variant is
+* d = 1: sample g over a box on a uniform grid plus all jet points and take
+  the lower convex hull of the planar graph (one monotone-chain pass).
+  Evaluation is piecewise-linear interpolation on hull vertices.  F_L is
   exact by slope clipping: infimal convolution with L|.| adds the indicator
   of [-L, L] to the conjugate F*, so F_L keeps the hull pieces whose slopes
   lie in [-L, L] and continues with slope -L to their left and +L to their
   right.
-* d in {2, 3}: store the sampled grid; each query solves the tiny linear
-  program  min sum lambda_j g(p_j)  over convex combinations of grid points
-  hitting x (at most d + 1 points carry weight, so the optimum is a local
-  simplex).  At a grid node p the LP is skipped when a conjugate
-  certificate proves F(p) = g(p): with i the active piece at p and
-  s = grad g_i(p), every other piece has g_k*(s) <= <s, p> - g(p) minus
-  the LP's pricing tolerance, where
-  g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M).  The tangent plane at p
-  then lies below g on all of R^d, so no combination of grid nodes beats
-  g(p).  This needs a coercive modulus and M > 0; a one-piece generator
-  passes at every node.  The Lipschitz variant minimizes F(y) + L |x - y|
-  over grid nodes and refines with a shrinking pattern search.
-* d > 3 is rejected: a grid representation is useless there.
+* d in {2, 3}: F, F_L and grad F are conv(g) over R^d, evaluated by the
+  certified conjugate solve ``lp.convex_combination_min`` from the closed
+  forms g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) of the pieces.  The
+  box only places the stored sample grid (CSV rows).
+* d > 3 is rejected.
 
 ``brute_force_envelope`` is an independent randomized upper-bound oracle
-used by the test-suite to cross-check the hull / LP construction.
+used by the test-suite to cross-check both constructions.
 """
 
 from __future__ import annotations
@@ -49,8 +39,8 @@ from typing import Optional
 import numpy as np
 
 from .jet import Jet, sup_norm_gradients
-from .lp import _grid_constants, convex_combination_min
-from .modulus import Modulus
+from .lp import convex_combination_min
+from .modulus import LinearModulus, Modulus
 
 __all__ = [
     "Generator",
@@ -74,6 +64,8 @@ class Generator:
         self.M = M
         # affine part f(y) - <G(y), y> is constant per jet point
         self._offset = jet.values - np.einsum("ij,ij->i", jet.points, jet.gradients)
+        # each piece's conjugate is finite on the ball |s - G_k| <= radius
+        self.radius = 0.0 if M == 0 else M * modulus.omega_sup
 
     def _pieces(self, X) -> np.ndarray:
         """(len(X), n) values of every lifted tangent plane at the rows of X."""
@@ -89,35 +81,64 @@ class Generator:
 
     __call__ = value
 
-    def _exposed(self, X, margin) -> np.ndarray:
-        """Mask of the rows x of X where a tangent plane of g at x is
-        certified to lie below g everywhere.
+    def _conjugates(self, S, idx=None, full=True):
+        """g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) for the pieces idx
+        (Q, k) (default: all) at the rows of S; a bounded table continues past
+        its ball.  With ``full``: (values, Z, U, tang, radial), where z_k =
+        grad g_k*(s) = y_k + omega_inv(|s - G_k| / M) u_k, u_k is the unit
+        vector of s - G_k (0 at G_k) and the Hessian of g_k* is tang (I - u u^T)
+        + radial u u^T.  At radius 0 the pieces are affine.
+        """
+        jet, M = self.jet, self.M
+        if idx is None:
+            Y, G, f = jet.points[None], jet.gradients[None], jet.values[None]
+        else:
+            Y, G, f = jet.points[idx], jet.gradients[idx], jet.values[idx]
+        V = S[:, None, :] - G
+        dist = np.sqrt(np.sum(V * V, axis=2))
+        c = np.sum(S[:, None, :] * Y, axis=2) - f
+        if self.radius > 0:
+            phi_star, inv, slope = self.modulus._conjugate(dist / M)
+            c = c + M * phi_star
+        if not full:
+            return c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            U = np.where(dist[..., None] > 0, V / dist[..., None], 0.0)
+            if self.radius == 0:
+                zero = np.zeros(dist.shape)
+                return c, np.broadcast_to(Y, U.shape), U, zero, zero
+            tang = np.where(dist > 0, inv / dist, slope / M)
+        return c, Y + inv[..., None] * U, U, tang, slope / M
 
-        With i the active piece at x and s = grad g_i(x) = G_i + M omega(r) u / r
-        (u = x - y_i, r = |u|; s = G_i at r = 0), the plane g(x) + <s, . - x>
-        lies below g_i, and below each other piece k when its conjugate
-        g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) is at most
-        <s, x> - g(x) - margin.  Then g(x) = conv(g)(x).  The conjugates are
-        finite only for coercive moduli and M > 0; otherwise no row passes.
+    def _dual_feasible(self, S) -> np.ndarray:
+        """Rows of S inside every ball |s - G_k| <= radius (to rounding)."""
+        V = S[:, None, :] - self.jet.gradients[None, :, :]
+        return np.all(np.sum(V * V, axis=2) <= (self.radius * (1.0 + 1e-12)) ** 2, axis=1)
+
+    def _exposed(self, X, margin):
+        """(mask, g, s) at the rows of X: g(x), the gradient s = grad g_i(x) of
+        the active piece i, and where its tangent plane lies below g.
+
+        That holds when s lies in every ball and each other piece has
+        g_k*(s) <= <s, x> - g(x) - margin (1 + |g(x)|).  With margin >= 0 it
+        proves conv(g)(x) = g(x); a negative margin accepts brackets
+        [<s, x> - max_k g_k*(s), g(x)] up to -margin (1 + |g(x)|) wide.
         """
         X = _as_points(X, self.jet.dimension)
-        if not self.modulus.coercive or self.M == 0:
-            return np.zeros(len(X), dtype=bool)
         jet, M = self.jet, self.M
-        pieces = self._pieces(X)
-        active = np.argmin(pieces, axis=1)
-        g = pieces[np.arange(len(X)), active]
+        rows = np.arange(len(X))
+        active = np.argmin(self._pieces(X), axis=1)
         u = X - jet.points[active]
         r = np.sqrt(np.sum(u * u, axis=1))
+        # the active piece again from x - y_i: exact at y_i, unlike _pieces
+        g = jet.values[active] + np.einsum("ij,ij->i", jet.gradients[active], u) + M * self.modulus.phi(r)
         with np.errstate(divide="ignore", invalid="ignore"):
             lift = np.where(r > 0, M * self.modulus.omega(r) / r, 0.0)
         s = jet.gradients[active] + lift[:, None] * u
-        worst = np.full(len(X), -np.inf)    # max of g_k*(s) over k != i
-        for k in range(jet.size):
-            dist = np.sqrt(np.sum((s - jet.gradients[k]) ** 2, axis=1))
-            conj = s @ jet.points[k] - jet.values[k] + M * self.modulus.phi_star(dist / M)
-            worst = np.where(active == k, worst, np.maximum(worst, conj))
-        return worst <= np.einsum("ij,ij->i", s, X) - g - margin
+        conj = self._conjugates(s, full=False)
+        conj[rows, active] = -np.inf
+        bound = np.einsum("ij,ij->i", s, X) - g - margin * (1.0 + np.abs(g))
+        return (np.max(conj, axis=1) <= bound) & self._dual_feasible(s), g, s
 
 
 def minorant(jet: Jet, X):
@@ -169,15 +190,12 @@ def _warn_low_cap(jet: Jet, L: float, stacklevel: int):
 
 
 class EnvelopeModel:
-    """Queryable convex envelope of a generator over a box.
+    """Queryable convex envelope of a generator.
 
-    Built by :func:`build_envelope`; evaluation is exact piecewise-linear
-    interpolation (d = 1) or a per-query linear program (d >= 2).  An
-    optional ``lipschitz_cap`` records the L used by the capped variant.
-
-    Queries are pure; the only mutation after construction is a pair of
-    idempotent memo caches for grid-node values (d >= 2), so concurrent
-    readers at worst duplicate that work.
+    Built by :func:`build_envelope`.  In d = 1, queries must lie in the box
+    and interpolate the lower hull of g sampled there; in d >= 2 each is a
+    certified conjugate solve of conv(g) over R^d, and the box only places
+    the sample grid.  ``lipschitz_cap`` records the L of the capped variant.
     """
 
     def __init__(self, generator, lo, hi, resolution, lipschitz_cap=None):
@@ -193,23 +211,13 @@ class EnvelopeModel:
             grid = np.linspace(self.lo[0], self.hi[0], self.resolution)
             xs = np.unique(np.concatenate([grid, generator.jet.points[:, 0]]))
             gs = generator.value_many(xs[:, None])
-            self.sample_x = xs
-            self.sample_g = gs
+            self.sample_x, self.sample_g = xs, gs
             self.hull_x, self.hull_y = _lower_hull(xs, gs)
         else:
             axes = [np.linspace(self.lo[k], self.hi[k], self.resolution) for k in range(d)]
             mesh = np.meshgrid(*axes, indexing="ij")
-            self.axes = axes
             self.grid_points = np.column_stack([m.ravel() for m in mesh])
             self.grid_g = generator.value_many(self.grid_points)
-            # LP is solved on box-normalized coordinates for conditioning
-            self._span = self.hi - self.lo
-            self._grid_scaled = (self.grid_points - self.lo) / self._span
-            self._lp_constants = _grid_constants(self._grid_scaled, self.grid_g)
-            # nodes where F = g is certified; the LP's pricing tolerance is the margin
-            self._exposed = generator._exposed(self.grid_points, self._lp_constants[1])
-            self._grid_F = None
-            self._scan_cache = None
 
     # -- helpers
 
@@ -232,81 +240,44 @@ class EnvelopeModel:
 
     def value_many(self, X) -> np.ndarray:
         X = _as_points(X, self.dimension)
+        if self.dimension > 1:
+            return convex_combination_min(self.generator, X)[0]
         self._require_inside(X)
-        if self.dimension == 1:
-            return np.interp(X[:, 0], self.hull_x, self.hull_y)
-        out = np.empty(len(X))
-        xs = (X - self.lo) / self._span
-        for k, x in enumerate(xs):
-            _, out[k] = convex_combination_min(
-                self._grid_scaled, self.grid_g, x, constants=self._lp_constants
-            )
-        return out
+        return np.interp(X[:, 0], self.hull_x, self.hull_y)
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def grid_envelope_values(self) -> np.ndarray:
-        """Envelope at every stored grid node (cached; d >= 2 solves one LP
-        per node that the conjugate certificate does not clear)."""
-        if self.dimension == 1:
-            return np.interp(self.sample_x, self.hull_x, self.hull_y)
-        if self._grid_F is None:
-            self._grid_F = self._node_values(np.arange(len(self.grid_points)))
-        return self._grid_F
-
-    def _node_values(self, idx) -> np.ndarray:
-        """F at the grid nodes idx: g where certified exposed, else one LP each."""
-        out = self.grid_g[idx]
-        rest = ~self._exposed[idx]
-        if np.any(rest):
-            out[rest] = self.value_many(self.grid_points[idx[rest]])
-        return out
+        """Envelope at every stored sample (d = 1) or grid node (d >= 2)."""
+        return self.value_many(self.sample_x[:, None] if self.dimension == 1 else self.grid_points)
 
     # -- Lipschitz-capped evaluation
 
     def lipschitz_value_many(self, X, L: Optional[float] = None) -> np.ndarray:
-        """F_L(x) = inf_y F(y) + L |x - y|.
+        """F_L(x) = inf_y F(y) + L |x - y|, also under the name
+        ``lipschitz_values_grid``.
 
         d = 1 is exact by slope clipping: F_L* = F* + indicator[-L, L], so
         F_L follows the hull from the first vertex a with right slope >= -L
         to the last vertex b with left slope <= L, with slope -L left of a
-        and +L right of b.  d >= 2 refines a coarse grid scan per query.
+        and +L right of b.  d >= 2 is the conjugate solve over |s| <= L.
         """
         L = self._resolve_cap(L)
         X = _as_points(X, self.dimension)
+        if self.dimension > 1:
+            return convex_combination_min(self.generator, X, L)[0]
         self._require_inside(X)
-        if self.dimension == 1:
-            return self._clipped_1d(X[:, 0], L)
-        out = np.empty(len(X))
-        for k, x in enumerate(X):
-            out[k] = self._lipschitz_single(x, L)
-        return out
+        x, hx, hy = X[:, 0], self.hull_x, self.hull_y
+        slopes = np.diff(hy) / np.diff(hx)
+        a, b = np.searchsorted(slopes, -L), np.searchsorted(slopes, L, side="right")
+        inner = np.where(x > hx[b], hy[b] + L * (x - hx[b]), np.interp(x, hx, hy))
+        return np.where(x < hx[a], hy[a] + L * (hx[a] - x), inner)
+
+    lipschitz_values_grid = lipschitz_value_many
 
     def lipschitz_value(self, x, L: Optional[float] = None) -> float:
         return float(self.lipschitz_value_many(np.asarray(x, dtype=float).reshape(1, -1), L)[0])
-
-    def lipschitz_values_grid(self, X, L: Optional[float] = None) -> np.ndarray:
-        """Grid-restricted capped values: min over grid nodes y of
-        F(y) + L |x - y|.
-
-        An upper bound of the capped envelope within O((L + lip F) * h) and
-        exactly L-Lipschitz in x; unlike the per-query pattern search it is
-        vectorized, which makes bulk exports and sampling-based verification
-        in d >= 2 tractable.  d = 1 delegates to the exact evaluation.
-        """
-        L = self._resolve_cap(L)
-        X = _as_points(X, self.dimension)
-        self._require_inside(X)
-        if self.dimension == 1:
-            return self._clipped_1d(X[:, 0], L)
-        F_grid = self.grid_envelope_values()
-        out = np.empty(len(X))
-        for start in range(0, len(X), 256):
-            chunk = X[start:start + 256]
-            dist = _pairwise_dist(chunk, self.grid_points)
-            out[start:start + 256] = np.min(F_grid[None, :] + L * dist, axis=1)
-        return out
 
     def _resolve_cap(self, L):
         if L is None:
@@ -317,67 +288,37 @@ class EnvelopeModel:
         _warn_low_cap(self.generator.jet, L, stacklevel=4)
         return L
 
-    def _clipped_1d(self, x, L):
-        """Exact 1-D F_L at abscissae x: the hull with slopes clipped to [-L, L]."""
-        hx, hy = self.hull_x, self.hull_y
-        slopes = np.diff(hy) / np.diff(hx)
-        a, b = np.searchsorted(slopes, -L), np.searchsorted(slopes, L, side="right")
-        inner = np.where(x > hx[b], hy[b] + L * (x - hx[b]), np.interp(x, hx, hy))
-        return np.where(x < hx[a], hy[a] + L * (hx[a] - x), inner)
 
-    def _scan_nodes(self):
-        """A coarse subgrid (at most ~1000 nodes) for global scans.
+def _dual_domain_empty(generator: Generator) -> bool:
+    """Whether the balls |s - G_k| <= radius share no point (conv(g) = -inf).
 
-        The infimand F(y) + L|x - y| is convex in y, so a coarse global
-        scan followed by local descent reaches its minimum; scanning the
-        full grid would cost one LP per node that the certificate does not
-        clear.
-        """
-        if self._scan_cache is None:
-            stride = 1
-            count = self.resolution ** self.dimension
-            while count > 1000:
-                stride *= 2
-                count = ((self.resolution + stride - 1) // stride) ** self.dimension
-            idx = np.arange(self.resolution)[::stride]
-            mesh = np.meshgrid(*[idx] * self.dimension, indexing="ij")
-            flat = np.ravel_multi_index(tuple(mesh), (self.resolution,) * self.dimension).ravel()
-            self._scan_cache = (self.grid_points[flat], self._node_values(flat), stride)
-        return self._scan_cache
-
-    def _lipschitz_single(self, x, L):
-        nodes, F_nodes, stride = self._scan_nodes()
-        obj = F_nodes + L * np.sqrt(np.sum((nodes - x) ** 2, axis=1))
-        best = int(np.argmin(obj))
-        y = nodes[best].copy()
-        val = float(obj[best])
-
-        def objective(p):
-            return self.value(p) + L * float(np.sqrt(np.sum((p - x) ** 2)))
-
-        step = stride * self.grid_spacing()
-        for _ in range(40):
-            improved = False
-            for axis in range(self.dimension):
-                for sgn in (+1.0, -1.0):
-                    cand = y.copy()
-                    cand[axis] = np.clip(cand[axis] + sgn * step, self.lo[axis], self.hi[axis])
-                    v = objective(cand)
-                    if v < val - 1e-14:
-                        y, val = cand, v
-                        improved = True
-            if not improved:
-                step *= 0.5
-        return min(val, self.value(x))
+    They meet iff the smallest ball around the (centred, scaled) G_k has
+    radius r <= radius, and -r^2 / 2 = conv(h)(0) for h_k(x) = <G_k, x> +
+    |x|^2 / 2: the generator of the jet of the h_k under the linear modulus.
+    """
+    G = generator.jet.gradients
+    if generator.radius == np.inf or np.all(G == G[0]):
+        return False
+    if generator.radius == 0:
+        return True
+    G = G - np.mean(G, axis=0)
+    scale = float(np.max(np.sqrt(np.sum(G * G, axis=1))))
+    G = G / scale
+    Y = generator.jet.points
+    h = Generator(Jet(Y, np.sum(G * Y + 0.5 * Y * Y, axis=1), G + Y), LinearModulus(), 1.0)
+    r2 = -2.0 * convex_combination_min(h, np.zeros((1, Y.shape[1])))[0][0]
+    return r2 > (generator.radius / scale) ** 2 + 1e-8
 
 
 def build_envelope(generator: Generator, lo, hi, resolution: int) -> EnvelopeModel:
     """Sample the generator over the box [lo, hi] and build its envelope.
 
-    The box should contain the jet points with a margin of at least the jet
-    diameter (a warning is emitted otherwise: hull facets near the boundary
-    would then distort values near the jet).  Resolution is per axis and
-    must be at least 33; dimensions above 3 are not supported.
+    The box must contain the jet points; resolution is per axis and at least
+    33; dimensions above 3 are not supported.  In d = 1 the hull lives on the
+    box, so a margin below the jet diameter warns: hull facets near the
+    boundary would distort values near the jet.  Raises ValueError when the
+    conjugate domains share no point (M = 0 with unequal gradients, or
+    disjoint balls of a bounded modulus), where conv(g) is -inf.
     """
     jet = generator.jet
     d = jet.dimension
@@ -395,8 +336,13 @@ def build_envelope(generator: Generator, lo, hi, resolution: int) -> EnvelopeMod
     margin_hi = np.min(hi[None, :] - jet.points)
     if min(margin_lo, margin_hi) < -1e-12:
         raise ValueError("domain box does not contain the jet points")
+    if _dual_domain_empty(generator):
+        raise ValueError(
+            f"the conjugate domains |s - G_k| <= M sup(omega) = {generator.radius:.6g} "
+            "share no point: conv(g) is -inf"
+        )
     diam = jet.diameter()
-    if diam > 0 and min(margin_lo, margin_hi) < diam:
+    if d == 1 and diam > 0 and min(margin_lo, margin_hi) < diam:
         warnings.warn(
             f"domain margin {min(margin_lo, margin_hi):.3g} is below the jet "
             f"diameter {diam:.3g}; envelope values near the jet may be distorted",

@@ -6,7 +6,8 @@ envelope F over a box, optionally cap it at the sharp Lipschitz constant
 L = sup |G|, then measure on random samples every quantity the construction
 promises to control:
 
-* interpolation of values and gradients on the jet points;
+* interpolation of values and gradients on the jet points (gradients are
+  the exact maximizer s* in d >= 2 and central differences in d = 1);
 * the least-constant seminorm of (F, grad F), which must stay below K * M
   (K = 2 for a generic increasing unbounded modulus, K = 2^{1-alpha} for
   power moduli: the midpoint-smoothness constant of phi(|.|));
@@ -40,6 +41,7 @@ from .jet import (
     compute_A,
     sup_norm_gradients,
 )
+from .lp import convex_combination_min
 from .modulus import Modulus
 
 __all__ = [
@@ -123,7 +125,7 @@ class ExtensionModel:
         return self.envelope.grid_spacing()
 
     def default_step(self):
-        """Default finite-difference step: 4 grid spacings."""
+        """Difference step (d = 1) and sampling pad: 4 grid spacings."""
         return 4.0 * self.grid_spacing()
 
     def value(self, x) -> float:
@@ -139,21 +141,20 @@ class ExtensionModel:
         return self.envelope.lipschitz_value_many(X, self.L)
 
     def gradient_many(self, X, h: Optional[float] = None):
-        """Central-difference gradients; x +/- h e_i must stay in the box."""
-        if h is None:
-            h = self.default_step()
+        """Gradients of F at the rows of X: in d = 1 central differences of
+        the hull with step h (x +/- h must stay in the box), in d >= 2 the
+        maximizer s* of the conjugate solve (h is not used)."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X.reshape(-1, self.dimension)
+        if self.dimension > 1:
+            return convex_combination_min(self.envelope.generator, X)[1]
+        if h is None:
+            h = self.default_step()
         lo, hi = self.domain
         if np.any(X - h < lo - 1e-12) or np.any(X + h > hi + 1e-12):
             raise ValueError("gradient stencil leaves the envelope domain")
-        grads = np.empty_like(X)
-        for axis in range(self.dimension):
-            step = np.zeros(self.dimension)
-            step[axis] = h
-            grads[:, axis] = (self.value_many(X + step) - self.value_many(X - step)) / (2.0 * h)
-        return grads
+        return ((self.value_many(X + h) - self.value_many(X - h)) / (2.0 * h))[:, None]
 
     def gradient(self, x, h: Optional[float] = None):
         return self.gradient_many(np.asarray(x, dtype=float).reshape(1, -1), h)[0]
@@ -288,7 +289,7 @@ def verify_extension(
 
     ``samples`` controls the number of random evaluation pairs.  Pairs
     closer than ``min_separation`` (default: 5 % of the narrowest box side,
-    but at least 10 finite-difference steps) are discarded for the seminorm
+    but at least 10 times ``default_step``) are discarded for the seminorm
     ratios: below that scale the piecewise-linear discretization, not the
     extension, dominates the ratio.
     """
@@ -382,8 +383,8 @@ def verify_extension(
 
     empirical_lip_F = None
     if L is not None:
-        # d = 1 capped values are exact; d >= 2 uses the vectorized
-        # grid-restricted infimal convolution, which is exactly L-Lipschitz
+        # exact by slope clipping (d = 1) or the certified conjugate solve
+        # over |s| <= L (d >= 2): L-Lipschitz either way
         xs = _sample_interior(model, rng, samples, pad=0.0)
         ys = _sample_interior(model, rng, samples, pad=0.0)
         FLx, FLy = (model.envelope.lipschitz_values_grid(p, L) for p in (xs, ys))
@@ -438,8 +439,8 @@ def check_necessity(model: ExtensionModel, samples: int = 500, seed: int = 0) ->
 
         F(z) + <gF(z), x - z>  <=  F(y) + <gF(y), x - y> + M_hat phi(|x - y|)
 
-    up to multiplicative slack on the phi term plus the finite-difference
-    gradient error propagated through the lever arms.
+    up to multiplicative slack on the phi term plus the gradient error of
+    the difference step (d = 1) propagated through the lever arms.
     """
     rng = np.random.default_rng(seed)
     m = model.modulus

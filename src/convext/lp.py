@@ -1,207 +1,265 @@
-"""Dense two-phase simplex for tiny equality-constrained LPs.
+"""Certified conjugate solve for F = conv(g), its Lipschitz cap F_L and grad F.
 
-The only shape needed here is the convex-combination program
+Each piece g_k of the generator has the conjugate g_k*(s) = <s, y_k> - f_k
++ M phi*(|s - G_k| / M), finite on the ball |s - G_k| <= R = M sup(omega).
+So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
+|s| <= L, and the maximizer s* is the gradient (Rockafellar, Convex Analysis,
+sections 12 and 16).  Queries pass the screen ``Generator._exposed``, then a
+smoothed Newton path (tau log sum_k exp(g_k*(s) / tau) plus a quadratic
+penalty outside the cap and the balls), then Newton on the KKT system of an
+active set of at most d + 1 pieces and spheres, corrected by exchanges and,
+failing that, by every set from the top d + 2 pieces and d + 1 spheres.
+Each query is certified by the bracket
 
-    min  sum_j lambda_j v_j
-    s.t. sum_j lambda_j p_j = x,   sum_j lambda_j = 1,   lambda >= 0,
+    lower = <s, x> - max_k g_k*(s)    (s in every ball and the cap),
+    upper = sum lam_k g_k(z_k) + sum_balls nu_j (<G_j, n_j> + R) + c |x - xbar|,
 
-i.e. d + 1 equality rows over N grid columns.  Instances are small in the
-row dimension, so a plain dense tableau with Dantzig pricing is fast; a
-switch to Bland's rule after a stall guarantees termination on the (very
-degenerate) regular grids this is used on.
-
-Above 600 columns, ``convex_combination_min`` runs delayed column generation
-from a seed set of the k grid nodes nearest x, ties broken by index as in a
-stable sort.  The seed set is found by partial selection (``np.partition``),
-not by sorting every node.
+with z_k = grad g_k*(s), xbar = sum lam_k z_k + sum_balls nu_j n_j, and
+c = L when capped (F_L is L-Lipschitz) or |s| (first order in x - xbar).
+The upper end is returned; a bracket wider than TOL (1 + |g(x)|) raises
+:class:`CertificationError`.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
-__all__ = ["simplex_min", "convex_combination_min"]
+__all__ = ["CertificationError", "convex_combination_min"]
+
+TOL = 1e-9                  # certified bracket width, relative to 1 + |g(x)|
+# smoothing levels tau (relative to 1 + |g(x)|) and Newton steps per level;
+# queries the first schedule leaves uncertified start again from the second
+_SCHEDULES = (((1e-2, 1e-4), 3), ((1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), 8))
+_KKT_STEPS = 40
+_LINE = (1.0, 0.25, 1.0 / 16.0, 1.0 / 64.0)     # backtracking step lengths
+_ROWS = 20000               # KKT rows solved at once
 
 
-class SimplexError(RuntimeError):
-    pass
+class CertificationError(RuntimeError):
+    """A query whose certificate bracket could not be closed."""
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
-    colvals[row] = 0.0
-    T -= colvals[:, None] * T[row]
-    basis[row] = col
+def convex_combination_min(generator, X, L=None):
+    """F(x) = conv(g)(x), or F_L(x) when L is given, and the maximizer s*.
 
-
-def _solve_phase(T, basis, cost, tol, max_iter):
-    """Minimize cost over the canonical tableau T = [A | b]; in place."""
-    m, ncols = T.shape
-    n = ncols - 1
-    stall = 0
-    best_obj = np.inf
-    bland = False
-    # one errstate per phase, not per pivot: on tableaux this small it
-    # costs about as much as the pivot itself
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            y = cost[basis]
-            reduced = cost[:n] - y @ T[:, :n]
-            if bland:
-                negs = np.flatnonzero(reduced < -tol)
-                if negs.size == 0:
-                    return
-                col = int(negs[0])
-            else:
-                col = int(reduced.argmin())
-                if reduced[col] >= -tol:
-                    return
-            colvec = T[:, col]
-            ratios = np.where(colvec > tol, T[:, n] / colvec, np.inf)
-            rmin = ratios.min()
-            if rmin == np.inf:      # no NaN here: the tableau stays finite
-                raise SimplexError("unbounded subproblem")
-            # tie-break on the smallest basis index (Bland-compatible)
-            cand = np.flatnonzero(ratios <= rmin + tol * (1.0 + abs(rmin)))
-            row = int(cand[basis[cand].argmin()])
-            _pivot(T, basis, row, col)
-            obj = float(cost[basis] @ T[:, n])
-            if obj < best_obj - tol:
-                best_obj = obj
-                stall = 0
-            else:
-                stall += 1
-                if stall > 50:
-                    bland = True
-    raise SimplexError("simplex did not converge")
-
-
-def _solve_standard(A, b, c, tol=1e-9, max_iter=20000):
-    """Two-phase simplex on min c.x, A x = b, x >= 0.
-
-    Returns (x, objective, basis, n_dropped_rows).
+    ``X`` is (Q, d); returns (values (Q,), slopes (Q, d)).
     """
-    m, n = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)
-    T = np.empty((m, n + m + 1))
-    T[:, :n] = A * sign[:, None]
-    T[:, n:n + m] = np.eye(m)
-    T[:, -1] = b * sign
-
-    basis = np.arange(n, n + m)
-    phase1_cost = np.concatenate([np.zeros(n), np.ones(m)])
-    _solve_phase(T, basis, phase1_cost, tol, max_iter)
-    if float(phase1_cost[basis] @ T[:, -1]) > 1e-7:
-        raise SimplexError("infeasible constraints")
-
-    # drive surviving artificial variables out of the basis; rows that
-    # cannot be pivoted are redundant and get dropped with their artificials
-    redundant = []
-    for row in range(m):
-        if basis[row] >= n:
-            pivots = np.flatnonzero(np.abs(T[row, :n]) > tol)
-            if pivots.size:
-                _pivot(T, basis, row, int(pivots[0]))
-            else:
-                redundant.append(row)
-    if redundant:
-        T = np.delete(T, redundant, axis=0)
-        basis = np.delete(basis, redundant)
-
-    T = np.hstack([T[:, :n], T[:, -1:]])
-    _solve_phase(T, basis, c, tol, max_iter)
-
-    x = np.zeros(n)
-    x[basis] = T[:, -1]
-    return x, float(c @ x), basis, len(redundant)
+    X = np.asarray(X, dtype=float).reshape(-1, generator.jet.dimension)
+    if L is not None and L == 0:        # the dual feasible set is {0}
+        S = np.zeros_like(X)
+        if not generator._dual_feasible(np.zeros((1, X.shape[1])))[0]:
+            raise CertificationError("the cap L = 0 lies outside the conjugate domain")
+        return -np.max(generator._conjugates(S, full=False), axis=1), S
+    done, g, s = generator._exposed(X, -TOL)
+    if L is not None:
+        done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
+    F, S, width = g.copy(), s.copy(), np.zeros(len(X))
+    rest = np.flatnonzero(~done)
+    for taus, steps in _SCHEDULES:
+        if rest.size:
+            F[rest], S[rest], width[rest] = _solve(generator, X[rest], g[rest], s[rest], L, taus, steps)
+            rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
+    if rest.size:
+        k = rest[np.argmax(width[rest] / (1.0 + np.abs(g[rest])))]
+        raise CertificationError(f"{rest.size} of {len(X)} queries uncertified; the widest "
+                                 f"bracket is {width[k]:.3g} at x = {X[k].tolist()}")
+    return F, S
 
 
-def simplex_min(A, b, c, tol=1e-9, max_iter=20000):
-    """Solve min c.x s.t. A x = b, x >= 0 for dense A (m rows, n cols).
+def _solve(gen, X, g, S, L, taus, steps):
+    """Smoothed start, then KKT Newton on active sets: (F, s, width)."""
+    (Q, d), n = X.shape, gen.jet.size
+    K, rows = d + 1, np.arange(Q)
+    tol = TOL * (1.0 + np.abs(g))
+    spheres = _spheres(gen, L)
+    real = np.isfinite(spheres[1])
+    S, gap, tau = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres, taus, steps)
+    room = _room(S, spheres)
+    P, B = min(n, d + 2), min(int(np.sum(real)), K)          # ranked pieces and spheres
+    ranked = np.hstack([np.argsort(gap, axis=1, kind="stable")[:, :P],
+                        n + np.argsort(room, axis=1, kind="stable")[:, :B]])
+    # first set: the pieces within 3 tau of the top and the spheres nearly reached
+    j = np.minimum(np.sum((room <= 1e-2 * spheres[1]) & real, axis=1), min(B, K - 1))
+    m = np.minimum(np.clip(np.sum(gap <= 3.0 * tau[:, None], axis=1), 1, P), K - j)
+    slot = np.arange(K)
+    pick = np.where(slot < m[:, None], slot, np.where(slot < (m + j)[:, None], P + slot - m[:, None], -1))
+    elem = np.where(pick >= 0, np.take_along_axis(ranked, np.maximum(pick, 0), axis=1), -1)
+    F, Sout, width, mult = _certify(gen, X, S, L, spheres, elem)
+    for _ in range(2 * K):
+        # exchange on the failed sets: drop the most negative weight; without
+        # one, add a sphere the solution reached, else the largest piece left out
+        weights = np.where(elem >= 0, mult, np.inf)
+        worst = np.argmin(weights, axis=1)
+        low = weights[rows, worst]
+        pieces_left = np.sum((elem >= 0) & (elem < n), axis=1) - (elem[rows, worst] < n)
+        drop = (width > tol) & (low < 0) & (pieces_left > 0)
+        add = np.flatnonzero((width > tol) & (low >= 0) & np.any(elem < 0, axis=1))
+        if not (drop.any() or add.size):
+            break
+        elem[drop, worst[drop]] = -1
+        if add.size:
+            reached = (_room(Sout[add], spheres) <= 1e-12 * spheres[1]) & real
+            score = np.hstack([gen._conjugates(Sout[add], full=False),
+                               np.where(reached, np.inf, -np.inf), np.zeros((add.size, 1))])
+            np.put_along_axis(score, np.where(elem[add] >= 0, elem[add], -1), -np.inf, axis=1)
+            elem[add, np.argmin(elem[add], axis=1)] = np.argmax(score[:, :-1], axis=1)
+        redo = np.flatnonzero(drop | np.isin(rows, add))
+        F[redo], Sout[redo], width[redo], mult[redo] = _certify(gen, X[redo], S[redo], L, spheres, elem[redo])
+    bad = np.flatnonzero(width > tol)
+    if bad.size:        # every set of ranked elements with at least one piece
+        sets = np.array([c + (-1,) * (K - len(c)) for size in range(1, K + 1)
+                         for c in combinations(range(P + B), size) if c[0] < P])
+        owner, pick = np.repeat(bad, len(sets)), np.tile(sets, (bad.size, 1))
+        elem = np.where(pick >= 0, np.take_along_axis(ranked[owner], np.maximum(pick, 0), axis=1), -1)
+        out = [_certify(gen, X[owner[k:k + _ROWS]], S[owner[k:k + _ROWS]], L, spheres, elem[k:k + _ROWS])
+               for k in range(0, len(owner), _ROWS)]
+        Fb, Sb, wb = (np.concatenate([o[i] for o in out]) for i in range(3))
+        best = np.full(Q, np.inf)
+        np.minimum.at(best, owner, wb)
+        win = np.flatnonzero(wb == best[owner])
+        F[owner[win]], Sout[owner[win]], width[owner[win]] = Fb[win], Sb[win], wb[win]
+    return F, Sout, width
 
-    Returns (x, objective).  Raises SimplexError when infeasible.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).copy()
-    c = np.asarray(c, dtype=float)
-    x, obj, _, _ = _solve_standard(A, b, c, tol=tol, max_iter=max_iter)
-    return x, obj
+
+def _spheres(gen, L):
+    """(centers, radii, is_ball) of the cap |s| <= L and, for a bounded
+    modulus, the balls |s - G_k| <= R; a last sphere of infinite radius
+    stands in where there is none."""
+    d = gen.jet.dimension
+    cap = [] if L is None else [(np.zeros(d), float(L), False)]
+    balls = [(G, gen.radius, True) for G in gen.jet.gradients] if np.isfinite(gen.radius) else []
+    centers, radii, ball = zip(*(cap + balls + [(np.zeros(d), np.inf, False)]))
+    return np.array(centers), np.array(radii), np.array(ball)
 
 
-def _nearest(d2, k):
-    """Sorted indices of the k smallest entries of d2, ties broken by index.
-
-    The same set as ``np.unique(np.argsort(d2, kind="stable")[:k])``, found
-    by partial selection: everything below the k-th smallest value, plus the
-    lowest-indexed entries equal to it.
-    """
-    if k >= d2.size:
-        return np.arange(d2.size)
-    kth = np.partition(d2, k - 1)[k - 1]
-    less = np.flatnonzero(d2 < kth)
-    ties = np.flatnonzero(d2 == kth)[:k - less.size]
-    return np.union1d(less, ties)
+def _room(S, spheres):
+    """rho_j - |s - c_j| for every sphere j at the rows of S."""
+    return spheres[1] - np.sqrt(np.sum((S[:, None, :] - spheres[0]) ** 2, axis=2))
 
 
-def _grid_constants(points, values, tol=1e-9):
-    """What every query on one grid shares: the constraint matrix
-    [points.T; 1] and the pricing threshold tol (1 + max|values|)."""
-    A = np.vstack([points.T, np.ones(len(points))])
-    return A, tol * (1.0 + float(np.max(np.abs(values))))
+def _smoothed(gen, X, S, scale, spheres, taus, steps):
+    """Newton with backtracking on tau log sum_k exp(g_k*(s) / tau) - <s, x>
+    + (1 + |x|^2) / (2 tau) sum_j max(0, |s - c_j| - rho_j)^2, for each tau
+    in taus (times scale).  Returns s, the gaps max_j g_j*(s) - g_k*(s) and
+    the last tau."""
+    weight = 1.0 + np.sum(X * X, axis=1)
+
+    def objective(S, c, X, tau, weight):
+        top = np.max(c, axis=1)
+        val = top + tau * np.log(np.sum(np.exp((c - top[:, None]) / tau[:, None]), axis=1))
+        val += 0.5 * weight / tau * np.sum(np.maximum(-_room(S, spheres), 0.0) ** 2, axis=1)
+        return np.nan_to_num(val - np.einsum("ij,ij->i", S, X), nan=np.inf)
+
+    for rel in taus:
+        live = np.arange(len(X))
+        for _ in range(steps):
+            s, x, tau, wt = S[live], X[live], rel * scale[live], weight[live]
+            c, Z, U, tang, radial = gen._conjugates(s)
+            w = np.exp((c - np.max(c, axis=1, keepdims=True)) / tau[:, None])
+            w /= np.sum(w, axis=1, keepdims=True)
+            zbar = np.einsum("qk,qkd->qd", w, Z)
+            Zc = Z - zbar[:, None, :]
+            # the penalty adds k v n to the gradient, k (n n^T + v (I - n n^T) / |s - c|) to the Hessian
+            V = s[:, None, :] - spheres[0]
+            dist = np.sqrt(np.sum(V * V, axis=2))
+            viol = np.maximum(dist - spheres[1], 0.0)
+            k = (wt / tau)[:, None] * (viol > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                N, bend = np.nan_to_num(V / dist[..., None]), np.where(viol > 0, viol / dist, 0.0)
+            grad = zbar - x + np.einsum("qj,qjd->qd", k * viol, N)
+            H = _hessian(w, tang, radial, U) + _hessian(k, bend, 1.0, N) \
+                + np.einsum("qk,qki,qkj->qij", w / tau[:, None], Zc, Zc)
+            step = -np.linalg.solve(H, grad[..., None])[..., 0]
+            now, todo = objective(s, c, x, tau, wt), np.arange(len(s))
+            for a in _LINE:     # each row takes the first length that lowers its objective
+                trial = s[todo] + a * step[todo]
+                ok = objective(trial, gen._conjugates(trial, full=False), x[todo], tau[todo], wt[todo]) <= now[todo]
+                s[todo[ok]], todo = trial[ok], todo[~ok]
+            S[live] = s
+            live = live[np.max(np.abs(step), axis=1) > 1e-6 * (1.0 + np.max(np.abs(s), axis=1))]
+    c = gen._conjugates(S, full=False)
+    return S, np.max(c, axis=1, keepdims=True) - c, taus[-1] * scale
 
 
-def convex_combination_min(points, values, x, tol=1e-9, *, constants=None):
-    """min sum lambda_j values_j over convex combinations of points hitting x.
+def _hessian(w, a, b, U):
+    """sum_k w_k (a_k (I - u_k u_k^T) + b_k u_k u_k^T), slightly regularized."""
+    H = np.sum(w * a, axis=1)[:, None, None] * np.eye(U.shape[2]) + np.einsum("qk,qki,qkj->qij", w * (b - a), U, U)
+    return H + (1e-12 * np.trace(H, axis1=1, axis2=2) + 1e-300)[:, None, None] * np.eye(U.shape[2])
 
-    ``points`` is (N, d), ``x`` is (d,).  Returns (lambda, objective); the
-    optimum uses at most d + 1 points with positive weight.  Callers that
-    query one grid many times pass ``constants=_grid_constants(points,
-    values, tol)``, built once, instead of having it rebuilt per query.
 
-    Large column counts are handled by delayed column generation: solve on a
-    working set seeded with the k nodes nearest x (ties broken by index,
-    found by partial selection; k doubles until x lies in their hull), price
-    every column against the restricted duals (one mat-vec), pull in the
-    most violated columns, and repeat until no column prices out.  This is
-    exact on termination.
-    """
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    N, d = points.shape
-    A, scale = _grid_constants(points, values, tol) if constants is None else constants
-    b = np.concatenate([x, [1.0]])
-
-    if N <= 600:
-        lam, obj = simplex_min(A, b, values, tol=tol)
-        return lam, obj
-
-    d2 = np.sum((points - x) ** 2, axis=1)
-    k = max(32, 3 ** d)
-    while True:
-        working = _nearest(d2, k)
+def _certify(gen, X, S, L, spheres, elem):
+    """KKT Newton on each row's active set elem (pieces 0..n-1, then the
+    spheres; -1 empty), then its bracket: (F, s, width, weights)."""
+    n, d = gen.jet.size, X.shape[1]
+    is_p, is_s = (elem >= 0) & (elem < n), elem >= n
+    pidx, sidx = np.where(is_p, elem, 0), np.where(is_s, elem - n, -1)
+    C0, rho = spheres[0][sidx], np.where(is_s, spheres[1][sidx], 0.0)
+    t = np.max(np.where(is_p, gen._conjugates(S, pidx, full=False), -np.inf), axis=1)
+    mult = is_p / np.sum(is_p, axis=1, keepdims=True)
+    S = S.copy()
+    live = np.arange(len(X))
+    for _ in range(_KKT_STEPS):
+        # sum lam_k z_k(s) + sum nu_j n_j(s) = x, sum lam = 1, g_k*(s) = t, |s - c_j| = rho_j
+        s, p, q, lm = S[live], is_p[live], is_s[live], mult[live]
+        c, Z, U, tang, radial = gen._conjugates(s, pidx[live])
+        V = s[:, None, :] - C0[live]
+        nv = np.sqrt(np.sum(V * V, axis=2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            N, inv_nv = np.nan_to_num(V / nv[..., None]), np.where(nv > 0, 1.0 / nv, 0.0)
+        cols = np.where(p[..., None], Z, np.where(q[..., None], N, 0.0))
+        on_p = np.where(p, lm, 0.0)
+        J = np.zeros((live.size, 2 * d + 2, 2 * d + 2))
+        J[:, :d, :d] = _hessian(on_p, tang, radial, U) + _hessian(np.where(q, lm * inv_nv, 0.0), 1.0, 0.0, N)
+        J[:, :d, d + 1:], J[:, d + 1:, :d] = np.swapaxes(cols, 1, 2), cols
+        J[:, d, d + 1:], J[:, d + 1:, d] = p, -1.0 * p
+        J[:, d + 1:, d + 1:] = (elem[live] < 0)[:, :, None] * np.eye(d + 1)
+        rhs = -np.hstack([np.einsum("rk,rkd->rd", lm, cols) - X[live], np.sum(on_p, axis=1, keepdims=True) - 1.0,
+                          np.where(p, c - t[live, None], np.where(q, nv - rho[live], lm))])
+        sane = np.all(np.isfinite(J), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
+        J[~sane], rhs[~sane] = np.eye(2 * d + 2), 0.0
         try:
-            sol, obj, basis, dropped = _solve_standard(A[:, working], b, values[working], tol=tol)
-            if dropped == 0:
-                break
-        except SimplexError:
-            pass
-        if k >= N:              # the full column set failed too
-            raise SimplexError("could not seed a feasible working set")
-        k = min(N, 2 * k)       # x not yet inside the working set's hull
+            step = np.linalg.solve(J, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = (np.linalg.pinv(J) @ rhs[..., None])[..., 0]
+        S[live] += step[:, :d]
+        t[live] += step[:, d]
+        mult[live] += step[:, d + 1:]
+        moved = np.max(np.abs(step[:, :d]), axis=1) > 1e-15 * (1.0 + np.max(np.abs(s), axis=1))
+        live = live[sane & moved & np.all(np.isfinite(step), axis=1)]
+        if live.size == 0:
+            break
+    return (*_bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult), mult)
 
-    for _ in range(500):
-        y = np.linalg.solve(A[:, working[basis]].T, values[working[basis]])
-        reduced = values - A.T @ y
-        candidates = np.argpartition(reduced, 5)[:5]
-        candidates = candidates[reduced[candidates] < -scale]
-        if candidates.size == 0:
-            lam = np.zeros(N)
-            lam[working] = sol
-            return lam, obj
-        working = np.unique(np.concatenate([working, candidates]))
-        sol, obj, basis, dropped = _solve_standard(A[:, working], b, values[working], tol=tol)
-        if dropped:
-            raise SimplexError("working set lost rank during column generation")
-    raise SimplexError("column generation did not converge")
+
+def _bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult):
+    """(upper, s, upper - lower) of each row's certificate bracket."""
+    jet = gen.jet
+    if L is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            S = S * np.minimum(1.0, L / np.sqrt(np.sum(S * S, axis=1)))[:, None]
+    lower = np.einsum("ij,ij->i", S, X) - np.max(gen._conjugates(S, full=False), axis=1)
+    lower = np.where(gen._dual_feasible(S), lower, -np.inf)
+    lam = np.where(is_p, np.maximum(mult, 0.0), 0.0)
+    total = np.sum(lam, axis=1)
+    lam /= np.maximum(total, 1e-300)[:, None]
+    Z = gen._conjugates(S, pidx)[1]
+    D = Z - jet.points[pidx]
+    g_z = jet.values[pidx] + np.einsum("rkd,rkd->rk", jet.gradients[pidx], D) \
+        + gen.M * gen.modulus.phi(np.sqrt(np.sum(D * D, axis=2)))
+    upper = np.einsum("rk,rk->r", lam, g_z)
+    xbar = np.einsum("rk,rkd->rd", lam, Z)
+    # a ball's weight moves along its normal n, where g_j has slope <G_j, n> + R
+    centers, radii, ball = spheres
+    nu = np.where(ball[sidx], np.maximum(mult, 0.0), 0.0)
+    V = S[:, None, :] - centers[sidx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        N = np.nan_to_num(V / np.sqrt(np.sum(V * V, axis=2))[..., None])
+    slope = np.where(ball[sidx], np.einsum("rkd,rkd->rk", centers[sidx], N) + radii[sidx], 0.0)
+    upper += np.sum(nu * slope, axis=1)
+    xbar += np.einsum("rk,rkd->rd", nu, N)
+    charge = L if L is not None else np.sqrt(np.sum(S * S, axis=1))
+    upper += charge * np.sqrt(np.sum((X - xbar) ** 2, axis=1))
+    width = np.where(total > 0, upper - lower, np.inf)
+    return upper, S, np.nan_to_num(width, nan=np.inf)

@@ -88,7 +88,7 @@ class Modulus:
                 "omega_inv is only defined for increasing unbounded moduli"
             )
         arr = _check_nonneg(s, "s")
-        out = self._omega_inv(arr)
+        out = self._conjugate(arr)[1]
         return float(out) if np.ndim(s) == 0 else out
 
     def phi_star(self, s):
@@ -97,7 +97,7 @@ class Modulus:
                 "phi_star is only defined for increasing unbounded moduli"
             )
         arr = _check_nonneg(s, "s")
-        out = self._phi_star(arr)
+        out = self._conjugate(arr)[0]
         return float(out) if np.ndim(s) == 0 else out
 
     def conjugate_pair(self) -> "ConjugatePair":
@@ -112,10 +112,12 @@ class Modulus:
     def _phi(self, t):
         raise NotImplementedError
 
-    def _omega_inv(self, s):
-        raise NotImplementedError
+    def _conjugate(self, s):
+        """(phi_star(s), omega_inv(s), omega_inv'(s)) on arrays s >= 0.
 
-    def _phi_star(self, s):
+        Defined for coercive moduli, and for bounded tables on [0, omega_sup],
+        past which they continue their last rising segment.
+        """
         raise NotImplementedError
 
     # -- exact per-pair solutions behind the least constant A, for rho = c / s > 0:
@@ -173,12 +175,10 @@ class HolderModulus(Modulus):
     def _phi(self, t):
         return np.power(t, 1.0 + self.alpha) / (1.0 + self.alpha)
 
-    def _omega_inv(self, s):
-        return np.power(s, 1.0 / self.alpha)
-
-    def _phi_star(self, s):
-        q = 1.0 + 1.0 / self.alpha
-        return np.power(s, q) / q
+    def _conjugate(self, s):
+        p = 1.0 / self.alpha
+        q = 1.0 + p
+        return np.power(s, q) / q, np.power(s, p), p * np.power(s, p - 1.0)
 
     def __repr__(self):
         return f"HolderModulus(alpha={self.alpha})"
@@ -196,11 +196,9 @@ class LinearModulus(Modulus):
     def _phi(self, t):
         return 0.5 * np.square(t)
 
-    def _omega_inv(self, s):
-        return np.asarray(s, dtype=float)
-
-    def _phi_star(self, s):
-        return 0.5 * np.square(s)
+    def _conjugate(self, s):
+        s = np.asarray(s, dtype=float)
+        return 0.5 * np.square(s), s, np.ones_like(s)
 
     def __repr__(self):
         return "LinearModulus()"
@@ -246,11 +244,11 @@ class TableModulus(Modulus):
             [[0.0], np.cumsum(np.diff(t) * (w[:-1] + w[1:]) / 2.0)]
         )
         self.coercive = self._slope_end > 0.0
-        if self.coercive:
-            # cumulative integral of omega_inv at the knot values
-            self._Psi = np.concatenate(
-                [[0.0], np.cumsum(np.diff(w) * (t[:-1] + t[1:]) / 2.0)]
-            )
+        # cumulative integral of omega_inv at the knot values
+        self._Psi = np.concatenate([[0.0], np.cumsum(np.diff(w) * (t[:-1] + t[1:]) / 2.0)])
+        # omega_inv lives on the rising segments; the last one ends at omega_sup
+        rising = np.flatnonzero(self._seg_slopes > 0.0)
+        self._top = int(rising[-1]) if rising.size else 0
 
     @property
     def knots(self):
@@ -274,15 +272,12 @@ class TableModulus(Modulus):
         # omega is affine on [t_idx, t], so one trapezoid finishes the integral
         return self._Phi[idx] + (t - self._t[idx]) * (self._w[idx] + self._omega(t)) / 2.0
 
-    def _omega_inv(self, s):
+    def _conjugate(self, s):
         s = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(self._w, s, side="right") - 1, 0, len(self._w) - 1)
-        return self._t[idx] + (s - self._w[idx]) / self._seg_slopes[idx]
-
-    def _phi_star(self, s):
-        s = np.asarray(s, dtype=float)
-        idx = np.clip(np.searchsorted(self._w, s, side="right") - 1, 0, len(self._w) - 1)
-        return self._Psi[idx] + (s - self._w[idx]) * (self._t[idx] + self._omega_inv(s)) / 2.0
+        idx = np.clip(np.searchsorted(self._w, s, side="right") - 1, 0, self._top)
+        a = self._seg_slopes[idx]
+        inv = self._t[idx] + (s - self._w[idx]) / a
+        return self._Psi[idx] + (s - self._w[idx]) * (self._t[idx] + inv) / 2.0, inv, 1.0 / a
 
     def _conjugate_root(self, rho):
         # phi_star(sigma) / sigma rises through Psi_k / w_k at the knots; on the
@@ -337,11 +332,9 @@ class ScaledModulus(Modulus):
     def _phi(self, t):
         return self.factor * self.base._phi(t)
 
-    def _omega_inv(self, s):
-        return self.base._omega_inv(np.asarray(s, dtype=float) / self.factor)
-
-    def _phi_star(self, s):
-        return self.factor * self.base._phi_star(np.asarray(s, dtype=float) / self.factor)
+    def _conjugate(self, s):
+        phi_star, inv, slope = self.base._conjugate(np.asarray(s, dtype=float) / self.factor)
+        return self.factor * phi_star, inv, slope / self.factor
 
     def _conjugate_root(self, rho):
         return self.factor * self.base._conjugate_root(rho)

@@ -5,7 +5,7 @@ import pytest
 
 from convext.cli import EXIT_INTERNAL, main
 from convext.fixtures import fixture_path, halfsq_jet, two_point_power_jet
-from convext.lp import SimplexError
+from convext.lp import CertificationError
 
 
 @pytest.fixture
@@ -213,13 +213,13 @@ class TestC1Command:
 class TestInternalErrors:
     def test_solver_error_exits_three(self, halfsq_file, monkeypatch, capsys):
         def fail(*args, **kwargs):
-            raise SimplexError("simplex did not converge")
+            raise CertificationError("1 of 4 queries uncertified")
 
         monkeypatch.setattr("convext.cli.build_extension", fail)
         code = main(["extend", halfsq_file, "--modulus", "linear"])
         assert code == EXIT_INTERNAL == 3
         err = capsys.readouterr().err
-        assert err == "internal error: SimplexError: simplex did not converge\n"
+        assert err == "internal error: CertificationError: 1 of 4 queries uncertified\n"
 
     def test_memory_error_exits_three(self, halfsq_file, monkeypatch, capsys):
         def fail(*args, **kwargs):

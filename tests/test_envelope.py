@@ -1,4 +1,4 @@
-import math
+import itertools
 import warnings
 
 import numpy as np
@@ -14,8 +14,8 @@ from convext.envelope import (
 )
 from convext.fixtures import single_parabola_jet, two_point_power_jet
 from convext.jet import Jet, seminorm_A_intrinsic, sup_norm_gradients
-from convext.lp import SimplexError, convex_combination_min, simplex_min
-from convext.modulus import HolderModulus, LinearModulus, ScaledModulus
+from convext.lp import CertificationError, convex_combination_min
+from convext.modulus import HolderModulus, LinearModulus, ScaledModulus, TableModulus
 
 from conftest import normalized_jet, random_concave_table, random_convex_function, random_modulus
 
@@ -302,40 +302,30 @@ class TestEnvelope2D:
 
 
 class TestExposedNodes:
-    """Grid nodes cleared by the conjugate certificate skip the LP."""
+    """The screen that clears a query when the active piece's tangent plane lies below g."""
 
-    @staticmethod
-    def _lp_at(model, idx):
-        """One-shot LP value at each grid node idx, as before the certificate."""
-        return np.array([convex_combination_min(model._grid_scaled, model.grid_g, x)[1]
-                         for x in model._grid_scaled[idx]])
-
-    def test_cleared_nodes_take_the_lp_value(self, rng):
+    def test_cleared_nodes_take_g(self, rng):
         table = random_concave_table(rng)
-        moduli = [HolderModulus(0.6), LinearModulus(), table, ScaledModulus(HolderModulus(0.8), 2.5)]
+        bounded = random_concave_table(rng, coercive=False)
+        moduli = [HolderModulus(0.6), LinearModulus(), table, bounded, ScaledModulus(HolderModulus(0.8), 2.5)]
         cleared = 0
         for d in (2, 3):
             for m in moduli:
                 jet = normalized_jet(rng, d, 4, m, spread=0.8)
                 for M in (1.0, 1.5):        # A = 1 after normalization
-                    model = build_envelope(Generator(jet, m, M), *_box(jet), 33)
-                    idx = np.flatnonzero(model._exposed)
-                    cleared += idx.size
-                    idx = rng.choice(idx, size=min(120, idx.size), replace=False)
-                    assert np.array_equal(self._lp_at(model, idx), model.grid_g[idx])
+                    gen = Generator(jet, m, M)
+                    nodes = rng.uniform(-3.0, 3.0, size=(300, d))
+                    mask, g, s = gen._exposed(nodes, 0.0)
+                    cleared += np.count_nonzero(mask)
+                    F, S = convex_combination_min(gen, nodes[mask])
+                    assert np.array_equal(F, g[mask]) and np.array_equal(S, s[mask])
+                    assert np.allclose(g, gen.value_many(nodes), rtol=0.0, atol=1e-12)
+                    # independently: each cleared tangent plane lies below g on samples
+                    z = rng.uniform(-6.0, 6.0, size=(2000, d))
+                    x, sx = nodes[mask], s[mask]
+                    planes = (g[mask] - np.einsum("qd,qd->q", sx, x))[:, None] + sx @ z.T
+                    assert np.all(planes <= gen.value_many(z)[None, :] + 1e-9)
         assert cleared > 0
-
-    def test_grid_values_match_the_lp_at_every_node(self, rng):
-        jet = normalized_jet(rng, 2, 5, HolderModulus(0.75), spread=0.8)
-        model = build_envelope(Generator(jet, HolderModulus(0.75), 1.2), *_box(jet), 33)
-        assert 0 < np.count_nonzero(model._exposed) < len(model.grid_points)
-        every = np.arange(len(model.grid_points))
-        assert np.array_equal(model.grid_envelope_values(), self._lp_at(model, every))
-        # the pattern search scans the strided subgrid and takes the same values
-        nodes, F_nodes, stride = model._scan_nodes()
-        sub = np.meshgrid(*[ax[::stride] for ax in model.axes], indexing="ij")
-        assert np.array_equal(nodes, np.column_stack([m.ravel() for m in sub]))
-        assert np.array_equal(F_nodes, model.value_many(nodes))
 
     def test_jet_points_on_nodes_are_cleared_above_A(self, rng):
         # at y_i the slope is G_i and the test is the pair condition with phi*,
@@ -346,9 +336,9 @@ class TestExposedNodes:
         jet = Jet(pts, value(pts), grad(pts))
         m = LinearModulus()
         A, _ = seminorm_A_intrinsic(jet, m)
-        model = build_envelope(Generator(jet, m, 1.5 * A), [-4.0, -4.0], [4.0, 4.0], 33)
-        at = [np.flatnonzero(np.all(model.grid_points == y, axis=1))[0] for y in pts]
-        assert np.all(model._exposed[at])
+        mask, g, s = Generator(jet, m, 1.5 * A)._exposed(pts, 0.0)
+        assert np.all(mask)
+        assert np.array_equal(g, jet.values) and np.array_equal(s, jet.gradients)
 
     def test_margin_is_subtracted(self):
         # two pieces on one plane, the second lifted by eps: at y_0 the other
@@ -363,95 +353,135 @@ class TestExposedNodes:
         for d in (2, 3):
             jet = Jet([[0.25] * d], [0.5], [[1.0] * d])
             model = build_envelope(Generator(jet, LinearModulus(), 1.0), [-2.0] * d, [2.0] * d, 33)
-            assert np.all(model._exposed)
+            assert np.all(model.generator._exposed(model.grid_points, 0.0)[0])
             idx = np.arange(0, len(model.grid_points), 97)
-            assert np.array_equal(self._lp_at(model, idx), model.grid_g[idx])
+            assert np.allclose(model.value_many(model.grid_points[idx]), model.grid_g[idx],
+                               rtol=0.0, atol=1e-12)
 
-    def test_zero_M_and_bounded_table_clear_nothing(self, rng):
+
+def _qp_oracle(jet, M, x):
+    """conv(g)(x) for the linear modulus: with a_i = y_i - G_i / M and
+    beta_i = |G_i|^2 / (2M) - f_i, the minimum over the simplex of
+    (M/2) |x - sum lam_i a_i|^2 - sum lam_i beta_i, by enumerating the
+    stationary points of every face of at most d + 1 vertices."""
+    a = jet.points - jet.gradients / M
+    beta = np.sum(jet.gradients ** 2, axis=1) / (2.0 * M) - jet.values
+    n, d = a.shape
+    best = np.inf
+    for m in range(1, min(n, d + 1) + 1):
+        for face in itertools.combinations(range(n), m):
+            A, b = a[list(face)], beta[list(face)]
+            K = np.zeros((m + 1, m + 1))
+            K[:m, :m], K[:m, m], K[m, :m] = M * A @ A.T, 1.0, 1.0
+            lam = np.linalg.lstsq(K, np.append(M * A @ x + b, 1.0), rcond=None)[0][:m]
+            if lam.min() >= -1e-12:
+                lam = np.maximum(lam, 0.0) / np.sum(np.maximum(lam, 0.0))
+                best = min(best, 0.5 * M * np.sum((x - lam @ A) ** 2) - lam @ b)
+    return best
+
+
+class TestConjugateSolve:
+    """F, grad F and F_L in d = 2, 3 from the certified conjugate solve."""
+
+    def test_linear_modulus_matches_qp_oracle(self, rng):
+        for d in (2, 3):
+            for _ in range(3):
+                jet = normalized_jet(rng, d, int(rng.integers(2, 6)), LinearModulus(), spread=0.8)
+                for M in (1.0, 1.5):
+                    X = np.vstack([rng.uniform(-4.0, 4.0, size=(150, d)), jet.points])
+                    F = convex_combination_min(Generator(jet, LinearModulus(), M), X)[0]
+                    oracle = np.array([_qp_oracle(jet, M, x) for x in X])
+                    assert np.all(np.abs(F - oracle) <= 1e-9 * (1.0 + np.abs(oracle)))
+
+    @pytest.mark.parametrize("kind", ["power", "linear", "table", "bounded", "scaled"])
+    def test_jet_points_give_the_jet_gradient(self, rng, kind):
+        m = {"power": HolderModulus(0.5), "linear": LinearModulus(),
+             "table": random_concave_table(rng), "bounded": random_concave_table(rng, coercive=False),
+             "scaled": ScaledModulus(HolderModulus(0.7), 2.0)}[kind]
+        for d in (2, 3):
+            jet = normalized_jet(rng, d, 5, m, spread=0.8)
+            for M in (1.0, 1.5):
+                gen = Generator(jet, m, M)
+                for L in (None, sup_norm_gradients(jet)):
+                    F, S = convex_combination_min(gen, jet.points, L)
+                    assert np.all(np.abs(F - jet.values) <= 1e-9 * (1.0 + np.abs(jet.values)))
+                    assert np.all(np.sqrt(np.sum((S - jet.gradients) ** 2, axis=1)) <= 1e-8)
+
+    def test_huber_closed_form(self):
+        # F = |x|^2 / 2, and capped at L = 1 it is |x| - 1/2 once |x| >= 1
+        for d in (2, 3):
+            jet = Jet([[0.0] * d], [0.0], [[0.0] * d])
+            gen = Generator(jet, LinearModulus(), 1.0)
+            x = np.eye(d)[:1] * 1.5
+            F_L, s = convex_combination_min(gen, x, 1.0)
+            assert abs(F_L[0] - 1.0) <= 1e-9 and np.allclose(s, np.eye(d)[:1], atol=1e-9)
+            assert abs(convex_combination_min(gen, x)[0][0] - 1.125) <= 1e-9
+
+    def test_cap_is_below_equal_inside_and_L_lipschitz(self, rng):
+        for d in (2, 3):
+            m = HolderModulus(0.75)
+            jet = normalized_jet(rng, d, 5, m, spread=0.8)
+            gen = Generator(jet, m, 1.2)
+            L = sup_norm_gradients(jet)
+            X = rng.uniform(-4.0, 4.0, size=(800, d))
+            F, S = convex_combination_min(gen, X)
+            F_L, S_L = convex_combination_min(gen, X, L)
+            assert np.all(F_L <= F + 1e-9 * (1.0 + np.abs(F)))
+            inside = np.sqrt(np.sum(S * S, axis=1)) <= L
+            assert 0 < np.count_nonzero(inside) < len(X)
+            assert np.allclose(F_L[inside], F[inside], rtol=0.0, atol=1e-9 * (1.0 + np.max(np.abs(F))))
+            assert np.all(np.sqrt(np.sum(S_L * S_L, axis=1)) <= L * (1.0 + 1e-12))
+            i, j = rng.integers(0, len(X), size=(2, 4000))
+            dist = np.sqrt(np.sum((X[i] - X[j]) ** 2, axis=1))
+            keep = dist > 1e-3
+            ratio = np.abs(F_L[i] - F_L[j])[keep] / dist[keep]
+            assert np.max(ratio) <= L * (1.0 + 1e-6)
+
+
+class TestFailureContract:
+    def test_zero_M_with_unequal_gradients_is_rejected(self, rng):
         jet = normalized_jet(rng, 2, 4, LinearModulus(), spread=0.8)
-        bounded = random_concave_table(rng, coercive=False)
-        for m, M in ((LinearModulus(), 0.0), (bounded, 2.0)):
-            model = build_envelope(Generator(jet, m, M), *_box(jet), 33)
-            assert not np.any(model._exposed)
-            idx = np.arange(0, len(model.grid_points), 11)
-            assert np.array_equal(model._node_values(idx), self._lp_at(model, idx))
+        with pytest.raises(ValueError, match="share no point"):
+            build_envelope(Generator(jet, LinearModulus(), 0.0), *_box(jet), 33)
+
+    def test_disjoint_bounded_balls_are_rejected(self):
+        # gradient balls of radius M sup(omega) = 0.5 around (0, 0), (2, 0) and (1, 1.5)
+        bounded = TableModulus([[0.0, 0.0], [1.0, 1.0], [2.0, 1.0]])
+        jet = Jet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 0.5], [[0.0, 0.0], [2.0, 0.0], [1.0, 1.5]])
+        with pytest.raises(ValueError, match="share no point"):
+            build_envelope(Generator(jet, bounded, 0.5), [-3.0, -3.0], [3.0, 3.0], 33)
+        # with radius 1.5 the three balls meet
+        build_envelope(Generator(jet, bounded, 1.5), [-3.0, -3.0], [3.0, 3.0], 33)
+
+    def test_zero_M_with_equal_gradients_is_g(self, rng):
+        jet = Jet([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], [0.0, 1.3, 0.6], [[1.0, 0.5]] * 3)
+        model = build_envelope(Generator(jet, HolderModulus(0.5), 0.0), *_box(jet), 33)
+        X = rng.uniform(-3.0, 3.0, size=(200, 2))
+        F, S = convex_combination_min(model.generator, X)
+        assert np.allclose(F, model.generator.value_many(X), rtol=0.0, atol=1e-12)
+        assert np.array_equal(S, np.broadcast_to(jet.gradients[0], S.shape))
+
+    def test_uncertified_query_raises(self, rng, monkeypatch):
+        jet = normalized_jet(rng, 2, 4, LinearModulus(), spread=0.8)
+        gen = Generator(jet, LinearModulus(), 1.0)
+        monkeypatch.setattr(lp, "TOL", -1.0)    # no bracket is that narrow
+        with pytest.raises(CertificationError, match="4 of 4 queries uncertified"):
+            convex_combination_min(gen, rng.uniform(-2.0, 2.0, size=(4, 2)))
 
 
-class TestSimplex:
-    def test_matches_known_solutions(self, rng):
-        for _ in range(20):
-            pts = rng.uniform(-1, 1, size=(30, 2))
-            vals = rng.uniform(0, 1, size=30)
-            x = pts.mean(axis=0)
-            lam, obj = convex_combination_min(pts, vals, x)
-            assert lam.min() >= -1e-9
-            assert np.allclose(pts.T @ lam, x, atol=1e-8)
-            assert np.isclose(lam.sum(), 1.0, atol=1e-9)
-            # support has at most d + 1 = 3 meaningful weights
-            assert np.sum(lam > 1e-7) <= 3 + 2
-            # no convex combination sampled at random does better
-            w = rng.dirichlet(np.ones(3), size=200)
-            idx = rng.integers(0, 30, size=(200, 3))
-            match = np.abs(np.einsum("kj,kjd->kd", w, pts[idx]) - x).max(axis=1) < 1e-3
-            if np.any(match):
-                assert obj <= np.min(np.einsum("kj,kj->k", w, vals[idx])[match]) + 1e-2
-
-    def test_infeasible_detected(self):
-        pts = np.array([[0.0], [1.0]])
-        with pytest.raises(Exception):
-            convex_combination_min(pts, [0.0, 0.0], np.array([2.0]))
-
-    def test_simplex_min_basic(self):
-        # min x1 + 2 x2 s.t. x1 + x2 = 1 -> x = (1, 0)
-        x, obj = simplex_min(np.array([[1.0, 1.0]]), np.array([1.0]), np.array([1.0, 2.0]))
-        assert obj == pytest.approx(1.0)
-        assert x[0] == pytest.approx(1.0)
-
-    def test_nearest_matches_stable_sort(self, rng):
-        # regular grids tie distances everywhere, most of all off the nodes
-        for m, d in [(65, 2), (33, 3), (9, 2)]:
-            pts = _grid(m, d)
-            N, h = len(pts), 2.0 / (m - 1)
-            for offset in (0.0, 0.5, 0.25):
-                for node in rng.integers(0, N, size=4):
-                    d2 = np.sum((pts - (pts[node] + offset * h)) ** 2, axis=1)
-                    for k in (1, 27, 32, N - 1, N, 2 * N):
-                        expected = np.unique(np.argsort(d2, kind="stable")[:k])
-                        assert np.array_equal(lp._nearest(d2, k), expected)
-
-    def test_column_generation_matches_dense(self, rng):
-        pts = _grid(33, 2)  # 1089 columns: above the dense branch's 600
-        vals = rng.uniform(0, 1, size=len(pts)) + np.sum(pts ** 2, axis=1)
-        h = 2.0 / 32
-        queries = np.vstack([
-            pts[rng.integers(0, len(pts), size=5)],
-            rng.integers(0, 32, size=(5, 2)) * h - 1.0 + h / 2,
-            rng.uniform(-1, 1, size=(5, 2)),
-        ])
-        A = np.vstack([pts.T, np.ones(len(pts))])
-        for x in queries:
-            lam, obj = convex_combination_min(pts, vals, x)
-            _, dense = simplex_min(A, np.append(x, 1.0), vals)
-            assert abs(obj - dense) <= 1e-10 * (1.0 + abs(obj))
-            assert lam.min() >= -1e-9
-            assert np.allclose(pts.T @ lam, x, atol=1e-8)
-            assert np.isclose(lam.sum(), 1.0, atol=1e-9)
-            assert obj == pytest.approx(vals @ lam, abs=1e-10)
-
-    def test_infeasible_seed_stops_at_full_set(self, monkeypatch):
-        pts = _grid(33, 2)
-        calls = []
-        solve = lp._solve_standard
-
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape[1])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(lp, "_solve_standard", counted)
-        with pytest.raises(SimplexError, match="could not seed"):
-            convex_combination_min(pts, np.zeros(len(pts)), np.array([2.0, 2.0]))
-        assert len(calls) <= math.ceil(math.log2(len(pts) / 32)) + 1
-        assert calls[-1] == len(pts)
+class TestBoxIndependence:
+    def test_tight_and_wide_boxes_agree(self, rng):
+        m = HolderModulus(0.75)
+        jet = normalized_jet(rng, 2, 4, m, spread=0.8)
+        gen = Generator(jet, m, 1.0)
+        lo, hi = jet.points.min(axis=0), jet.points.max(axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tight = build_envelope(gen, lo, hi, 33)
+        wide = build_envelope(gen, lo - 5.0, hi + 5.0, 65)
+        X = np.vstack([rng.uniform(lo, hi, size=(200, 2)), jet.points])
+        assert np.array_equal(tight.value_many(X), wide.value_many(X))
+        assert np.array_equal(tight.lipschitz_value_many(X, 1.0), wide.lipschitz_value_many(X, 1.0))
 
 
 class TestCsvExport:
