@@ -416,6 +416,8 @@ class TestConjugateSolve:
             F_L, s = convex_combination_min(gen, x, 1.0)
             assert abs(F_L[0] - 1.0) <= 1e-9 and np.allclose(s, np.eye(d)[:1], atol=1e-9)
             assert abs(convex_combination_min(gen, x)[0][0] - 1.125) <= 1e-9
+            # with L = 0 only s = 0 is feasible: F_L is the minimum of F everywhere
+            assert np.array_equal(convex_combination_min(gen, x, 0.0)[0], [0.0])
 
     def test_cap_is_below_equal_inside_and_L_lipschitz(self, rng):
         for d in (2, 3):
