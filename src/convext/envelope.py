@@ -297,7 +297,8 @@ def _dual_domain_empty(generator: Generator) -> bool:
     |x|^2 / 2: the generator of the jet of the h_k under the linear modulus.
     """
     G = generator.jet.gradients
-    if generator.radius == np.inf or np.all(G == G[0]):
+    # when M >= A every G_k lies in every ball, so G_0 settles the usual case
+    if np.max(np.sqrt(np.sum((G - G[0]) ** 2, axis=1))) <= generator.radius * (1.0 + 1e-12):
         return False
     if generator.radius == 0:
         return True
