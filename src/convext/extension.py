@@ -312,7 +312,7 @@ def verify_extension(
     G_E = model.gradient_many(E)
     grad_err = float(np.max(np.sqrt(np.sum((G_E - model.jet.gradients) ** 2, axis=1))))
 
-    # gradient-bearing sample points (kept clear of the boundary stencil)
+    # gradient-bearing sample points, kept clear of the 1-D difference stencil
     n_pts = max(40, int(np.sqrt(2.0 * samples)))
     pts = _sample_interior(model, rng, n_pts, pad=h * 1.5)
     F_pts = model.value_many(pts)

@@ -221,6 +221,18 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert err == "internal error: CertificationError: 1 of 4 queries uncertified\n"
 
+    def test_uncertified_query_exits_three(self, tmp_path, monkeypatch, capsys):
+        jet_file = tmp_path / "plane.json"
+        jet_file.write_text(json.dumps({
+            "dimension": 2, "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            "values": [0.0, 0.5, 0.5], "gradients": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        }))
+        monkeypatch.setattr("convext.lp.TOL", -1.0)     # no bracket is that narrow
+        code = main(["extend", str(jet_file), "--modulus", "linear", "--resolution", "33"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: CertificationError: ") and err.count("\n") == 1
+
     def test_memory_error_exits_three(self, halfsq_file, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise MemoryError()
