@@ -304,8 +304,7 @@ def _dual_domain_empty(generator: Generator) -> bool:
         return True
     G = G - np.mean(G, axis=0)
     scale = float(np.max(np.sqrt(np.sum(G * G, axis=1))))
-    G = G / scale
-    Y = generator.jet.points
+    G, Y = G / scale, generator.jet.points
     h = Generator(Jet(Y, np.sum(G * Y + 0.5 * Y * Y, axis=1), G + Y), LinearModulus(), 1.0)
     r2 = -2.0 * convex_combination_min(h, np.zeros((1, Y.shape[1])))[0][0]
     return r2 > (generator.radius / scale) ** 2 + 1e-8

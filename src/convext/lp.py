@@ -4,12 +4,10 @@ Each piece g_k of the generator has the conjugate g_k*(s) = <s, y_k> - f_k
 + M phi*(|s - G_k| / M), finite on the ball |s - G_k| <= R = M sup(omega).
 So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 |s| <= L, and the maximizer s* is the gradient (Rockafellar, Convex Analysis,
-sections 12 and 16).  Queries pass the screen ``Generator._exposed``, then a
-smoothed Newton path (tau log sum_k exp(g_k*(s) / tau) plus a quadratic
-penalty outside the cap and the balls), then Newton on the KKT system of an
-active set of at most d + 1 pieces and spheres, corrected by exchanges and,
-failing that, by every set from the top d + 2 pieces and d + 1 spheres.
-Each query is certified by the bracket
+12 and 16).  Queries pass the screen ``Generator._exposed``, a smoothed
+Newton path (tau log sum_k exp(g_k*(s) / tau), penalized outside the cap and
+the balls), and Newton on the KKT system of active sets of at most d + 1
+pieces and spheres.  Each query is certified by the bracket
 
     lower = <s, x> - max_k g_k*(s)    (s in every ball and the cap),
     upper = sum lam_k g_k(z_k) + sum_balls nu_j (<G_j, n_j> + R) + c |x - xbar|,
@@ -32,9 +30,9 @@ TOL = 1e-9                  # certified bracket width, relative to 1 + |g(x)|
 # smoothing levels tau (relative to 1 + |g(x)|) and Newton steps per level;
 # queries the first schedule leaves uncertified start again from the second
 _SCHEDULES = (((1e-2, 1e-4), 3), ((1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), 8))
-_KKT_STEPS = 40
-_LINE = (1.0, 0.25, 1.0 / 16.0, 1.0 / 64.0)     # backtracking step lengths
+_LINE = 0.25 ** np.arange(11)    # backtracking step lengths, 1 down to 1e-6
 _ROWS = 20000               # KKT rows solved at once
+_BLOCK = 2 ** 18            # queries times pieces handled at once
 
 
 class CertificationError(RuntimeError):
@@ -42,16 +40,17 @@ class CertificationError(RuntimeError):
 
 
 def convex_combination_min(generator, X, L=None):
-    """F(x) = conv(g)(x), or F_L(x) when L is given, and the maximizer s*.
-
-    ``X`` is (Q, d); returns (values (Q,), slopes (Q, d)).
-    """
+    """F(x) = conv(g)(x), or F_L(x) when L is given, and the maximizer s* at
+    the rows of X (Q, d): arrays (Q,) and (Q, d)."""
     X = np.asarray(X, dtype=float).reshape(-1, generator.jet.dimension)
+    block = max(1, _BLOCK // generator.jet.size)      # bounds the (queries, pieces, d) arrays
+    if len(X) > block:
+        F, S = zip(*(convex_combination_min(generator, X[k:k + block], L) for k in range(0, len(X), block)))
+        return np.concatenate(F), np.concatenate(S)
     if L is not None and L == 0:        # the dual feasible set is {0}
-        S = np.zeros_like(X)
         if not generator._dual_feasible(np.zeros((1, X.shape[1])))[0]:
             raise CertificationError("the cap L = 0 lies outside the conjugate domain")
-        return -np.max(generator._conjugates(S, full=False), axis=1), S
+        return -np.max(generator._conjugates(np.zeros_like(X), full=False), axis=1), np.zeros_like(X)
     done, g, s = generator._exposed(X, -TOL)
     if L is not None:
         done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
@@ -76,7 +75,7 @@ def _solve(gen, X, g, S, L, taus, steps):
     spheres = _spheres(gen, L)
     real = np.isfinite(spheres[1])
     S, gap, tau = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres, taus, steps)
-    room = _room(S, spheres)
+    room = spheres[1] - _normals(S, spheres[0])[1]
     P, B = min(n, d + 2), min(int(np.sum(real)), K)          # ranked pieces and spheres
     ranked = np.hstack([np.argsort(gap, axis=1, kind="stable")[:, :P],
                         n + np.argsort(room, axis=1, kind="stable")[:, :B]])
@@ -98,15 +97,18 @@ def _solve(gen, X, g, S, L, taus, steps):
         add = np.flatnonzero((width > tol) & (low >= 0) & np.any(elem < 0, axis=1))
         if not (drop.any() or add.size):
             break
-        elem[drop, worst[drop]] = -1
+        elem[drop, worst[drop]], mult[drop, worst[drop]] = -1, 0.0
         if add.size:
-            reached = (_room(Sout[add], spheres) <= 1e-12 * spheres[1]) & real
+            reached = (spheres[1] - _normals(Sout[add], spheres[0])[1] <= 1e-12 * spheres[1]) & real
             score = np.hstack([gen._conjugates(Sout[add], full=False),
                                np.where(reached, np.inf, -np.inf), np.zeros((add.size, 1))])
             np.put_along_axis(score, np.where(elem[add] >= 0, elem[add], -1), -np.inf, axis=1)
-            elem[add, np.argmin(elem[add], axis=1)] = np.argmax(score[:, :-1], axis=1)
-        redo = np.flatnonzero(drop | np.isin(rows, add))
-        F[redo], Sout[redo], width[redo], mult[redo] = _certify(gen, X[redo], S[redo], L, spheres, elem[redo])
+            free = np.argmin(elem[add], axis=1)
+            elem[add, free], mult[add, free] = np.argmax(score[:, :-1], axis=1), 0.0
+        redo = np.flatnonzero(drop | np.isin(rows, add))    # restart from the last solution
+        start = np.where(np.isfinite(Sout[redo]), Sout[redo], S[redo])
+        F[redo], Sout[redo], width[redo], mult[redo] = _certify(
+            gen, X[redo], start, L, spheres, elem[redo], np.nan_to_num(mult[redo]))
     bad = np.flatnonzero(width > tol)
     if bad.size:        # every set of ranked elements with at least one piece
         sets = np.array([c + (-1,) * (K - len(c)) for size in range(1, K + 1)
@@ -134,9 +136,13 @@ def _spheres(gen, L):
     return np.array(centers), np.array(radii), np.array(ball)
 
 
-def _room(S, spheres):
-    """rho_j - |s - c_j| for every sphere j at the rows of S."""
-    return spheres[1] - np.sqrt(np.sum((S[:, None, :] - spheres[0]) ** 2, axis=2))
+def _normals(S, centers):
+    """Unit vectors of s - c_j (0 at c_j) and the distances |s - c_j| at the
+    rows of S, for centers (m, d) or one set per row (Q, m, d)."""
+    V = S[:, None, :] - centers
+    dist = np.sqrt(np.sum(V * V, axis=2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.nan_to_num(V / dist[..., None]), dist
 
 
 def _smoothed(gen, X, S, scale, spheres, taus, steps):
@@ -149,7 +155,7 @@ def _smoothed(gen, X, S, scale, spheres, taus, steps):
     def objective(S, c, X, tau, weight):
         top = np.max(c, axis=1)
         val = top + tau * np.log(np.sum(np.exp((c - top[:, None]) / tau[:, None]), axis=1))
-        val += 0.5 * weight / tau * np.sum(np.maximum(-_room(S, spheres), 0.0) ** 2, axis=1)
+        val += 0.5 * weight / tau * np.sum(np.maximum(_normals(S, spheres[0])[1] - spheres[1], 0.0) ** 2, axis=1)
         return np.nan_to_num(val - np.einsum("ij,ij->i", S, X), nan=np.inf)
 
     for rel in taus:
@@ -162,12 +168,9 @@ def _smoothed(gen, X, S, scale, spheres, taus, steps):
             zbar = np.einsum("qk,qkd->qd", w, Z)
             Zc = Z - zbar[:, None, :]
             # the penalty adds k v n to the gradient, k (n n^T + v (I - n n^T) / |s - c|) to the Hessian
-            V = s[:, None, :] - spheres[0]
-            dist = np.sqrt(np.sum(V * V, axis=2))
+            N, dist = _normals(s, spheres[0])
             viol = np.maximum(dist - spheres[1], 0.0)
-            k = (wt / tau)[:, None] * (viol > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                N, bend = np.nan_to_num(V / dist[..., None]), np.where(viol > 0, viol / dist, 0.0)
+            k, bend = (wt / tau)[:, None] * (viol > 0), viol / np.maximum(dist, 1e-300)
             grad = zbar - x + np.einsum("qj,qjd->qd", k * viol, N)
             H = _hessian(w, tang, radial, U) + _hessian(k, bend, 1.0, N) \
                 + np.einsum("qk,qki,qkj->qij", w / tau[:, None], Zc, Zc)
@@ -189,29 +192,28 @@ def _hessian(w, a, b, U):
     return H + (1e-12 * np.trace(H, axis1=1, axis2=2) + 1e-300)[:, None, None] * np.eye(U.shape[2])
 
 
-def _certify(gen, X, S, L, spheres, elem):
+def _certify(gen, X, S, L, spheres, elem, mult=None):
     """KKT Newton on each row's active set elem (pieces 0..n-1, then the
-    spheres; -1 empty), then its bracket: (F, s, width, weights)."""
+    spheres; -1 empty) from s = S and the weights mult (default: equal on
+    the pieces), then its bracket: (F, s, width, weights)."""
     n, d = gen.jet.size, X.shape[1]
     is_p, is_s = (elem >= 0) & (elem < n), elem >= n
     pidx, sidx = np.where(is_p, elem, 0), np.where(is_s, elem - n, -1)
     C0, rho = spheres[0][sidx], np.where(is_s, spheres[1][sidx], 0.0)
     t = np.max(np.where(is_p, gen._conjugates(S, pidx, full=False), -np.inf), axis=1)
-    mult = is_p / np.sum(is_p, axis=1, keepdims=True)
+    mult = is_p / np.sum(is_p, axis=1, keepdims=True) if mult is None else mult.copy()
     S = S.copy()
     live = np.arange(len(X))
-    for _ in range(_KKT_STEPS):
+    for _ in range(40):
         # sum lam_k z_k(s) + sum nu_j n_j(s) = x, sum lam = 1, g_k*(s) = t, |s - c_j| = rho_j
         s, p, q, lm = S[live], is_p[live], is_s[live], mult[live]
         c, Z, U, tang, radial = gen._conjugates(s, pidx[live])
-        V = s[:, None, :] - C0[live]
-        nv = np.sqrt(np.sum(V * V, axis=2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            N, inv_nv = np.nan_to_num(V / nv[..., None]), np.where(nv > 0, 1.0 / nv, 0.0)
+        N, nv = _normals(s, C0[live])
         cols = np.where(p[..., None], Z, np.where(q[..., None], N, 0.0))
         on_p = np.where(p, lm, 0.0)
         J = np.zeros((live.size, 2 * d + 2, 2 * d + 2))
-        J[:, :d, :d] = _hessian(on_p, tang, radial, U) + _hessian(np.where(q, lm * inv_nv, 0.0), 1.0, 0.0, N)
+        J[:, :d, :d] = _hessian(on_p, tang, radial, U) \
+            + _hessian(np.where(q, lm / np.maximum(nv, 1e-300), 0.0), 1.0, 0.0, N)
         J[:, :d, d + 1:], J[:, d + 1:, :d] = np.swapaxes(cols, 1, 2), cols
         J[:, d, d + 1:], J[:, d + 1:, d] = p, -1.0 * p
         J[:, d + 1:, d + 1:] = (elem[live] < 0)[:, :, None] * np.eye(d + 1)
@@ -219,6 +221,7 @@ def _certify(gen, X, S, L, spheres, elem):
                           np.where(p, c - t[live, None], np.where(q, nv - rho[live], lm))])
         sane = np.all(np.isfinite(J), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
         J[~sane], rhs[~sane] = np.eye(2 * d + 2), 0.0
+        J += 1e-13 * np.max(np.abs(J), axis=(1, 2))[:, None, None] * np.eye(2 * d + 2)
         try:
             step = np.linalg.solve(J, rhs[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -253,9 +256,7 @@ def _bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult):
     # a ball's weight moves along its normal n, where g_j has slope <G_j, n> + R
     centers, radii, ball = spheres
     nu = np.where(ball[sidx], np.maximum(mult, 0.0), 0.0)
-    V = S[:, None, :] - centers[sidx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        N = np.nan_to_num(V / np.sqrt(np.sum(V * V, axis=2))[..., None])
+    N = _normals(S, centers[sidx])[0]
     slope = np.where(ball[sidx], np.einsum("rkd,rkd->rk", centers[sidx], N) + radii[sidx], 0.0)
     upper += np.sum(nu * slope, axis=1)
     xbar += np.einsum("rk,rkd->rd", nu, N)
