@@ -126,7 +126,6 @@ class Generator:
         """
         X = _as_points(X, self.jet.dimension)
         jet, M = self.jet, self.M
-        rows = np.arange(len(X))
         active = np.argmin(self._pieces(X), axis=1)
         u = X - jet.points[active]
         r = np.sqrt(np.sum(u * u, axis=1))
@@ -136,7 +135,7 @@ class Generator:
             lift = np.where(r > 0, M * self.modulus.omega(r) / r, 0.0)
         s = jet.gradients[active] + lift[:, None] * u
         conj = self._conjugates(s, full=False)
-        conj[rows, active] = -np.inf
+        conj[np.arange(len(X)), active] = -np.inf
         bound = np.einsum("ij,ij->i", s, X) - g - margin * (1.0 + np.abs(g))
         return (np.max(conj, axis=1) <= bound) & self._dual_feasible(s), g, s
 
@@ -211,7 +210,8 @@ class EnvelopeModel:
             grid = np.linspace(self.lo[0], self.hi[0], self.resolution)
             xs = np.unique(np.concatenate([grid, generator.jet.points[:, 0]]))
             gs = generator.value_many(xs[:, None])
-            self.sample_x, self.sample_g = xs, gs
+            self.sample_x = xs
+            self.sample_g = gs
             self.hull_x, self.hull_y = _lower_hull(xs, gs)
         else:
             axes = [np.linspace(self.lo[k], self.hi[k], self.resolution) for k in range(d)]
