@@ -50,11 +50,9 @@ from .extension import (
     verify_extension,
 )
 from .jet import (
-    InfeasibleJetError,
     Jet,
     _pareto_pairs,
-    check_condition_C,
-    check_condition_CW1,
+    _verdict,
     pair_defects,
     seminorm_A_extrinsic,
     sup_norm_gradients,
@@ -100,19 +98,14 @@ class ConstructedModulus:
         return out
 
 
-def _require_qualitative(jet: Jet, tol: float):
-    cond_c = check_condition_C(jet, tol)
-    if not cond_c.ok:
-        raise InfeasibleJetError("condition_C", cond_c.violations)
-    cond_cw1 = check_condition_CW1(jet, tol)
-    if not cond_cw1.ok:
-        raise InfeasibleJetError("condition_CW1", cond_cw1.violations)
-
-
 def _front(jet: Jet):
     """Defects (c, s) of the jet's Pareto-front pairs."""
     C, S, _ = pair_defects(jet)
     return _pareto_pairs(C, S)[2:]
+
+
+def _delta(c, s, ts):
+    return np.max(s[None, :] - c[None, :] / ts[:, None], axis=1, initial=0.0)
 
 
 def delta_many(jet: Jet, ts) -> np.ndarray:
@@ -120,18 +113,18 @@ def delta_many(jet: Jet, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("delta is defined for t > 0")
-    c, s = _front(jet)
-    return np.max(s[None, :] - c[None, :] / ts[:, None], axis=1, initial=0.0)
+    return _delta(*_front(jet), ts)
 
 
 def compute_delta(jet: Jet, t: float, tol: float = 1e-9) -> float:
-    """Worst tangent-plane crossing rate within witness distance t."""
+    """Worst tangent-plane crossing rate within witness distance t; needs
+    condition (C) only."""
     if t <= 0:
         raise ValueError("delta is defined for t > 0")
-    cond_c = check_condition_C(jet, tol)
-    if not cond_c.ok:
-        raise InfeasibleJetError("condition_C", cond_c.violations)
-    return float(delta_many(jet, np.array([t]))[0])
+    verdict = _verdict(jet, tol)
+    if not verdict.condition_C.ok:
+        raise verdict.error
+    return float(_delta(*_pareto_pairs(verdict.C, verdict.S)[2:], np.array([t]))[0])
 
 
 def delta1_value(jet: Jet, L: float, t):
@@ -142,7 +135,10 @@ def delta1_value(jet: Jet, L: float, t):
     breakpoint of h above 1.  The breakpoints are the slopes of the upper
     hull of the front points (c_k, s_k) and the origin.
     """
-    c, s = _front(jet)
+    return _delta1(*_front(jet), L, t)
+
+
+def _delta1(c, s, L, t):
     xs, ys = np.concatenate([[0.0], c]), np.concatenate([[0.0], -s])
     order = np.lexsort((ys, xs))
     hx, hy = _lower_hull(xs[order], ys[order])
@@ -171,7 +167,10 @@ def build_construction(
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    _require_qualitative(jet, tol)
+    verdict = _verdict(jet, tol)
+    if verdict.error:
+        raise verdict.error
+    c, s = _pareto_pairs(verdict.C, verdict.S)[2:]
     L = sup_norm_gradients(jet)
     if t_grid is None:
         diam = max(jet.diameter(), 1.0)
@@ -188,8 +187,8 @@ def build_construction(
             Delta=zeros, omega=None, M=0.0, degenerate=True,
         )
 
-    delta = delta_many(jet, t_grid)
-    delta1 = delta1_value(jet, L, t_grid)
+    delta = _delta(c, s, t_grid)
+    delta1 = _delta1(c, s, L, t_grid)
     Delta = np.minimum(2.0 * L, delta1)
 
     ts = np.concatenate([[0.0], t_grid])
@@ -226,25 +225,17 @@ def c1_extend(
     (model, verification report, construction).
     """
     cm = build_construction(jet, alpha=alpha, tol=tol)
-    if cm.degenerate:
-        cfg = ExtensionConfig(
-            modulus=LinearModulus(), M="auto", lipschitz="auto",
-            smoothness_K=smoothness_K, domain=domain, resolution=resolution, tol=tol,
-        )
-        model = build_extension(jet, cfg)
-        report = verify_extension(model, samples=samples, seed=seed)
-        return model, report, cm
-
-    A_check = seminorm_A_extrinsic(jet, cm.omega)
-    if not A_check <= cm.M * (1.0 + 1e-9) + 1e-6:
-        raise RuntimeError(
-            f"construction failed: least constant {A_check} exceeds M = {cm.M}"
-        )
-
+    modulus, M = LinearModulus(), "auto"        # a constant jet gets a constant extension
+    if not cm.degenerate:
+        A_check = seminorm_A_extrinsic(jet, cm.omega, tol)
+        if not A_check <= cm.M * (1.0 + 1e-9) + 1e-6:
+            raise RuntimeError(
+                f"construction failed: least constant {A_check} exceeds M = {cm.M}"
+            )
+        modulus, M = cm.omega, cm.M
     cfg = ExtensionConfig(
-        modulus=cm.omega, M=cm.M, lipschitz="auto",
+        modulus=modulus, M=M, lipschitz="auto",
         smoothness_K=smoothness_K, domain=domain, resolution=resolution, tol=tol,
     )
     model = build_extension(jet, cfg)
-    report = verify_extension(model, samples=samples, seed=seed)
-    return model, report, cm
+    return model, verify_extension(model, samples=samples, seed=seed), cm

@@ -36,12 +36,14 @@ from .extension import (
 from .jet import (
     InfeasibleJetError,
     Jet,
+    _A_extrinsic,
+    _A_intrinsic,
     _json_float,
+    _relation,
+    _verdict,
     feasibility_report,
     lip_omega_gradients,
-    seminorm_A_extrinsic,
     seminorm_A_intrinsic,
-    seminorm_relation_report,
     sup_norm_gradients,
 )
 from .modulus import HolderModulus, parse_modulus_spec
@@ -114,16 +116,17 @@ def cmd_validate(args) -> int:
 def cmd_constants(args) -> int:
     jet = _load_jet(args.jet)
     modulus = parse_modulus_spec(args.modulus)
-    out = {"L": sup_norm_gradients(jet), "A_intrinsic": None}
-    A = seminorm_A_extrinsic(jet, modulus, feas_tol=args.tol)
-    out["A_extrinsic"] = _json_float(A)
-    if modulus.coercive:
-        A, _ = seminorm_A_intrinsic(jet, modulus, feas_tol=args.tol)
-        out["A_intrinsic"] = _json_float(A)
-    rel = seminorm_relation_report(jet, modulus, A)
-    out["lip_omega_G"] = rel["lip_omega_G"]
-    out["relation"] = {k: _json_float(v) for k, v in rel.items()}
-    _emit_json(out, args.report)
+    verdict = _verdict(jet, args.tol)
+    A_extrinsic = _A_extrinsic(verdict, modulus)
+    A = _A_intrinsic(verdict, modulus)[0] if modulus.coercive else A_extrinsic
+    rel = _relation(verdict, modulus, A)
+    _emit_json({
+        "L": sup_norm_gradients(jet),
+        "A_intrinsic": _json_float(A) if modulus.coercive else None,
+        "A_extrinsic": _json_float(A_extrinsic),
+        "lip_omega_G": rel["lip_omega_G"],
+        "relation": {k: _json_float(v) for k, v in rel.items()},
+    }, args.report)
     return EXIT_OK if np.isfinite(A) else EXIT_FAILED
 
 

@@ -32,15 +32,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .envelope import EnvelopeModel, Generator, _warn_low_cap, build_envelope, minorant
-from .jet import (
-    InfeasibleJetError,
-    Jet,
-    _pairwise_norms,
-    check_condition_C,
-    check_condition_CW1,
-    compute_A,
-    sup_norm_gradients,
-)
+from .jet import Jet, _A, _pairwise_norms, _verdict, sup_norm_gradients
 from .lp import convex_combination_min
 from .modulus import Modulus
 
@@ -180,17 +172,14 @@ class ExtensionModel:
 def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
     """Resolve the configuration, check feasibility, and build the envelope.
 
-    Raises :class:`InfeasibleJetError` when no constant works (A = +inf) and
-    ``ValueError`` when an explicit M is below the least feasible constant.
+    Raises :class:`InfeasibleJetError` naming the failing condition when no
+    constant works (A = +inf), and ``ValueError`` when an explicit M is below
+    the least feasible constant.
     """
-    A = compute_A(jet, cfg.modulus, cfg.tol)
-    if not np.isfinite(A):
-        cond = check_condition_C(jet, cfg.tol)
-        if not cond.ok:
-            raise InfeasibleJetError("condition_C", cond.violations)
-        # value domination holds, so some tangent pair has a gradient gap
-        cw1 = check_condition_CW1(jet, cfg.tol)
-        raise InfeasibleJetError("finite_A", cw1.violations or [(-1, -1, np.inf)])
+    verdict = _verdict(jet, cfg.tol)
+    if verdict.error:
+        raise verdict.error
+    A = _A(verdict, cfg.modulus)
 
     if cfg.M == "auto":
         M = A * cfg.safety_factor
@@ -289,8 +278,8 @@ def verify_extension(
 
     ``samples`` controls the number of random evaluation pairs.  Pairs
     closer than ``min_separation`` (default: 5 % of the narrowest box side,
-    but at least 10 times ``default_step``) are discarded for the seminorm
-    ratios: below that scale the piecewise-linear discretization, not the
+    and in d = 1 at least 10 times ``default_step``) are discarded for the
+    seminorm ratios: below that scale the sampled hull of d = 1, not the
     extension, dominates the ratio.
     """
     rng = np.random.default_rng(seed)
@@ -301,7 +290,7 @@ def verify_extension(
     lo, hi = model.domain
     width = float(np.min(hi - lo))
     if min_separation is None:
-        min_separation = max(0.05 * width, 10.0 * h)
+        min_separation = max(0.05 * width, 10.0 * h if model.dimension == 1 else 0.0)
     slack_add = 10.0 * M * m.omega(sp) * sp + 1e-12
     mult = 1.05
 

@@ -29,14 +29,16 @@ delta and delta1 are evaluated on the front only.
 * ``sup_norm_gradients``: L = sup |G|, the sharp Lipschitz constant of any
   convex extension.
 
-Infeasibility is reported as A = +inf, never as an exception, except where
-an operation cannot even be posed (see ``InfeasibleJetError`` users).
+One rule, ``_verdict``, decides both conditions from one pass over the
+pairs, and A = +inf exactly when one of them fails.  Infeasibility is
+reported as A = +inf, never as an exception, except where an operation
+cannot even be posed (see ``InfeasibleJetError`` users).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -78,8 +80,9 @@ def _json_float(v):
 class InfeasibleJetError(Exception):
     """A jet fails a condition required by the requested operation.
 
-    ``condition`` names the failing check ("condition_C", "condition_CW1"
-    or "finite_A") and ``pairs`` lists offending (i, j, residual) triples.
+    ``condition`` names the failing check, "condition_C" or
+    "condition_CW1", and ``pairs`` lists its offending (i, j, residual)
+    triples, as the check reports them.
     """
 
     def __init__(self, condition, pairs):
@@ -226,38 +229,50 @@ class ConditionReport:
         }
 
 
+class _Verdict(NamedTuple):
+    """One pass over the ordered pairs, from ``_verdict``."""
+
+    condition_C: ConditionReport
+    condition_CW1: ConditionReport
+    error: Optional[InfeasibleJetError]     # names the first failing condition
+    C: np.ndarray
+    S: np.ndarray
+    D: np.ndarray
+
+
+def _condition(mask, residual):
+    i, j = np.nonzero(mask)
+    return ConditionReport(ok=i.size == 0, violations=list(zip(i.tolist(), j.tolist(), residual[i, j].tolist())))
+
+
+def _verdict(jet: Jet, tol: float) -> _Verdict:
+    """Decide (C) and (CW1) from one ``pair_defects`` pass.
+
+    With slack = tol (1 + |f(y)| + |f(z)|), an ordered pair violates (C)
+    when C < -slack (residual C) and (CW1) when -slack <= C <= 0 and S > 0
+    (residual S).  Every other pair with S > 0 has c = C > 0, so both routes
+    to A are finite exactly when neither condition fails.
+    """
+    C, S, D = pair_defects(jet)
+    f = np.abs(jet.values)
+    below = C < -tol * (1.0 + f[:, None] + f[None, :])
+    np.fill_diagonal(below, False)
+    cond_c = _condition(below, C)
+    cond_cw1 = _condition((C <= 0.0) & (S > 0.0) & ~below, S)
+    failed = [InfeasibleJetError(name, cond.violations)
+              for name, cond in (("condition_C", cond_c), ("condition_CW1", cond_cw1)) if not cond.ok]
+    return _Verdict(cond_c, cond_cw1, failed[0] if failed else None, C, S, D)
+
+
 def check_condition_C(jet: Jet, tol: float = 1e-9) -> ConditionReport:
-    """Every value must dominate every tangent plane, up to tol."""
-    C, _, _ = pair_defects(jet)
-    bad = np.argwhere(C < -tol)
-    violations = [(int(i), int(j), float(C[i, j])) for i, j in bad if i != j]
-    # the diagonal is exactly zero, but guard against it anyway
-    return ConditionReport(ok=not violations, violations=violations)
+    """Every value must dominate every tangent plane, up to tol (1 + |f(y)| + |f(z)|)."""
+    return _verdict(jet, tol).condition_C
 
 
 def check_condition_CW1(jet: Jet, tol: float = 1e-9) -> ConditionReport:
-    """Tangency must force gradient equality.
-
-    A pair counts as tangent when |C[i, j]| <= tol * (1 + |f_i| + |f_j|);
-    it then must satisfy |G_i - G_j| <= tol * (1 + |y - z|).
-    """
-    C, S, D = pair_defects(jet)
-    f = jet.values
-    scale = 1.0 + np.abs(f)[:, None] + np.abs(f)[None, :]
-    tangent = np.abs(C) <= tol * scale
-    bad = tangent & (S > tol * (1.0 + D))
-    violations = [
-        (int(i), int(j), float(S[i, j]))
-        for i, j in np.argwhere(bad)
-        if i != j
-    ]
-    return ConditionReport(ok=not violations, violations=violations)
-
-
-def _feasibility_mask(C, f, tol):
-    """Pairs whose tangent defect is meaningfully negative."""
-    scale = 1.0 + np.abs(f)[:, None] + np.abs(f)[None, :]
-    return C < -tol * scale
+    """Tangency must force gradient equality: a pair whose defect lies in
+    [-slack, 0], slack = tol (1 + |f(y)| + |f(z)|), must have G(y) = G(z)."""
+    return _verdict(jet, tol).condition_CW1
 
 
 def _pair_constants(c, s, m: Modulus):
@@ -281,6 +296,30 @@ def _pair_ratios(c, s, m: Modulus):
         return np.fmax((s * r - c) / m.phi(r), s / m.omega_sup)
 
 
+def _A_intrinsic(v: _Verdict, m: Modulus):
+    """(A, per_pair) of the intrinsic route on a verdict's pairs."""
+    if v.error:
+        return np.inf, [((i, j), np.inf) for i, j, _ in v.error.pairs]
+    ii, jj, c, s = _pareto_pairs(v.C, v.S)
+    M = _pair_constants(c, s, m)
+    pos = M > 0.0
+    per_pair = list(zip(zip(ii[pos].tolist(), jj[pos].tolist()), M[pos].tolist()))
+    return float(np.max(M, initial=0.0)), per_pair
+
+
+def _A_extrinsic(v: _Verdict, m: Modulus) -> float:
+    """A by the extrinsic route on a verdict's pairs."""
+    if v.error:
+        return np.inf
+    _, _, c, s = _pareto_pairs(v.C, v.S)
+    return float(np.max(_pair_ratios(c, s, m), initial=0.0))
+
+
+def _A(v: _Verdict, m: Modulus) -> float:
+    """A by the cheapest valid route."""
+    return _A_intrinsic(v, m)[0] if m.coercive else _A_extrinsic(v, m)
+
+
 def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
     """Least feasible constant via the pairwise conjugate equation.
 
@@ -294,34 +333,16 @@ def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
 
     Returns (A, per_pair) where per_pair lists ((i, j), M_ij) for every
     front pair with a positive constant, in (y, z) order, and A = max over
-    pairs (0 if all pairs are slack).  A is +inf if condition (C) fails or
-    a tangent pair has a gradient gap; per_pair then lists every such pair
-    with M = inf.
+    pairs (0 if all pairs are slack).  A is +inf when condition (C) or
+    (CW1) fails at feas_tol; per_pair then lists the pairs of the first
+    failing condition with M = inf.
     """
     if not m.coercive:
         raise NonCoerciveModulusError(
             "the pairwise route needs an increasing unbounded modulus; "
             "use seminorm_A_extrinsic instead"
         )
-
-    def infinite(mask):
-        return np.inf, [((int(i), int(j)), np.inf) for i, j in np.argwhere(mask)]
-
-    C, S, _ = pair_defects(jet)
-    bad = _feasibility_mask(C, jet.values, feas_tol)
-    if np.any(bad):
-        return infinite(bad)
-    ii, jj, c, s = _pareto_pairs(C, S)
-    if np.any(c == 0.0):
-        # a tangent pair with a gradient gap: list every such pair, not only the front
-        return infinite((S > 0.0) & (C <= 0.0))
-    if len(c) == 0:
-        return 0.0, []
-
-    M = _pair_constants(c, s, m)
-    pos = M > 0.0
-    per_pair = list(zip(zip(ii[pos].tolist(), jj[pos].tolist()), M[pos].tolist()))
-    return float(np.max(M)), per_pair
+    return _A_intrinsic(_verdict(jet, feas_tol), m)
 
 
 def seminorm_A_extrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
@@ -332,54 +353,37 @@ def seminorm_A_extrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
     sup_{r>0} (s r - c) / phi(r), which each modulus kind maximizes exactly;
     the overall value is the max over the Pareto-front pairs (the ratio
     increases in s and decreases in c), floored at 0.  Works for bounded
-    moduli too; +inf when condition (C) fails or a tangent pair has distinct
-    gradients.
+    moduli too; +inf when condition (C) or (CW1) fails at feas_tol.
     """
-    C, S, _ = pair_defects(jet)
-    if np.any(_feasibility_mask(C, jet.values, feas_tol)):
-        return np.inf
-    _, _, c, s = _pareto_pairs(C, S)
-    if np.any(c == 0.0):
-        return np.inf
-    if len(c) == 0:
-        return 0.0
-    return float(np.max(_pair_ratios(c, s, m)))
+    return _A_extrinsic(_verdict(jet, feas_tol), m)
 
 
 def compute_A(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
     """Least feasible constant, by the cheapest valid route."""
-    if m.coercive:
-        return seminorm_A_intrinsic(jet, m, feas_tol)[0]
-    return seminorm_A_extrinsic(jet, m, feas_tol)
+    return _A(_verdict(jet, feas_tol), m)
 
 
-def lip_omega_gradients(jet: Jet, m: Modulus) -> float:
-    """max over pairs of |G(y) - G(z)| / omega(|y - z|); 0 for one point."""
-    if jet.size < 2:
-        return 0.0
-    _, S, D = pair_defects(jet)
-    iu = np.triu_indices(jet.size, k=1)
+def _lip_omega(S, D, m: Modulus) -> float:
+    """max over pairs of S / omega(D); 0 for one point."""
+    iu = np.triu_indices(len(S), k=1)
     s, d = S[iu], D[iu]
     w = m.omega(d)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(s == 0.0, 0.0, s / w)
-    return float(np.max(ratios))
+    return float(np.max(ratios, initial=0.0))
+
+
+def lip_omega_gradients(jet: Jet, m: Modulus) -> float:
+    """max over pairs of |G(y) - G(z)| / omega(|y - z|); 0 for one point."""
+    return _lip_omega(*pair_defects(jet)[1:], m)
 
 
 def sup_norm_gradients(jet: Jet) -> float:
     return float(np.max(np.sqrt(np.sum(jet.gradients**2, axis=1))))
 
 
-def seminorm_relation_report(jet: Jet, m: Modulus, A: Optional[float] = None) -> dict:
-    """Check lip_omega(G) <= (4/3) A, and the sharper power-modulus bound.
-
-    For omega(t) = t^alpha the factor improves to ((1+alpha)/(2 alpha))^alpha.
-    Returns the measured quantities, the bounds and pass flags; when A is
-    infinite the relation is reported as not applicable.
-    """
-    if A is None:
-        A = compute_A(jet, m)
-    lip = lip_omega_gradients(jet, m)
+def _relation(v: _Verdict, m: Modulus, A: float) -> dict:
+    lip = _lip_omega(v.S, v.D, m)
     if not np.isfinite(A):
         return {"applicable": False, "A": A, "lip_omega_G": lip}
     out = {
@@ -396,6 +400,17 @@ def seminorm_relation_report(jet: Jet, m: Modulus, A: Optional[float] = None) ->
         out["holder_bound"] = bound
         out["holder_ok"] = bool(lip <= bound * (1.0 + 1e-12) + 1e-15)
     return out
+
+
+def seminorm_relation_report(jet: Jet, m: Modulus, A: Optional[float] = None) -> dict:
+    """Check lip_omega(G) <= (4/3) A, and the sharper power-modulus bound.
+
+    For omega(t) = t^alpha the factor improves to ((1+alpha)/(2 alpha))^alpha.
+    Returns the measured quantities, the bounds and pass flags; when A is
+    infinite the relation is reported as not applicable.
+    """
+    v = _verdict(jet, 1e-9)
+    return _relation(v, m, _A(v, m) if A is None else A)
 
 
 @dataclass
@@ -431,18 +446,17 @@ class FeasibilityReport:
 
 def feasibility_report(jet: Jet, m: Modulus, tol: float = 1e-9) -> FeasibilityReport:
     """Run every jet-level check for the given modulus and bundle the results."""
-    cond_c = check_condition_C(jet, tol)
-    cond_cw1 = check_condition_CW1(jet, tol)
+    v = _verdict(jet, tol)
     if m.coercive:
-        A, per_pair = seminorm_A_intrinsic(jet, m, tol)
+        A, per_pair = _A_intrinsic(v, m)
         route = "intrinsic"
     else:
-        A, per_pair = seminorm_A_extrinsic(jet, m, tol), []
+        A, per_pair = _A_extrinsic(v, m), []
         route = "extrinsic"
-    rel = seminorm_relation_report(jet, m, A)
+    rel = _relation(v, m, A)
     return FeasibilityReport(
-        condition_C=cond_c,
-        condition_CW1=cond_cw1,
+        condition_C=v.condition_C,
+        condition_CW1=v.condition_CW1,
         A=A,
         A_route=route,
         per_pair_M=per_pair,

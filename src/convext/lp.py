@@ -10,10 +10,11 @@ the balls), and Newton on the KKT system of active sets of at most d + 1
 pieces and spheres.  Each query is certified by the bracket
 
     lower = <s, x> - max_k g_k*(s)    (s in every ball and the cap),
-    upper = sum lam_k g_k(z_k) + sum_balls nu_j (<G_j, n_j> + R) + c |x - xbar|,
+    upper = sum lam_k g_k(z_k + r) + sum_balls nu_j (<G_j, n_j> + R),
 
-with z_k = grad g_k*(s), xbar = sum lam_k z_k + sum_balls nu_j n_j, and
-c = L when capped (F_L is L-Lipschitz) or |s| (first order in x - xbar).
+with z_k = grad g_k*(s) and r = x - sum lam_k z_k - sum_balls nu_j n_j, so
+the shifted points and the ball directions combine to x exactly.  Capped
+queries keep the z_k and charge L |r| instead, since F_L is L-Lipschitz.
 The upper end is returned; a bracket wider than TOL (1 + |g(x)|) raises
 :class:`CertificationError`.
 """
@@ -248,19 +249,19 @@ def _bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult):
     total = np.sum(lam, axis=1)
     lam /= np.maximum(total, 1e-300)[:, None]
     Z = gen._conjugates(S, pidx)[1]
-    D = Z - jet.points[pidx]
-    g_z = jet.values[pidx] + np.einsum("rkd,rkd->rk", jet.gradients[pidx], D) \
-        + gen.M * gen.modulus.phi(np.sqrt(np.sum(D * D, axis=2)))
-    upper = np.einsum("rk,rk->r", lam, g_z)
-    xbar = np.einsum("rk,rkd->rd", lam, Z)
     # a ball's weight moves along its normal n, where g_j has slope <G_j, n> + R
     centers, radii, ball = spheres
     nu = np.where(ball[sidx], np.maximum(mult, 0.0), 0.0)
     N = _normals(S, centers[sidx])[0]
     slope = np.where(ball[sidx], np.einsum("rkd,rkd->rk", centers[sidx], N) + radii[sidx], 0.0)
-    upper += np.sum(nu * slope, axis=1)
-    xbar += np.einsum("rk,rkd->rd", nu, N)
-    charge = L if L is not None else np.sqrt(np.sum(S * S, axis=1))
-    upper += charge * np.sqrt(np.sum((X - xbar) ** 2, axis=1))
+    r = X - np.einsum("rk,rkd->rd", lam, Z) - np.einsum("rk,rkd->rd", nu, N)
+    if L is None:
+        Z = Z + r[:, None, :]       # the shifted z_k combine to x exactly
+    D = Z - jet.points[pidx]
+    g_z = jet.values[pidx] + np.einsum("rkd,rkd->rk", jet.gradients[pidx], D) \
+        + gen.M * gen.modulus.phi(np.sqrt(np.sum(D * D, axis=2)))
+    upper = np.einsum("rk,rk->r", lam, g_z) + np.sum(nu * slope, axis=1)
+    if L is not None:
+        upper += L * np.sqrt(np.sum(r * r, axis=1))
     width = np.where(total > 0, upper - lower, np.inf)
     return upper, S, np.nan_to_num(width, nan=np.inf)

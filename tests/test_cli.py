@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from convext import jet
 from convext.cli import EXIT_INTERNAL, main
 from convext.fixtures import fixture_path, halfsq_jet, two_point_power_jet
 from convext.lp import CertificationError
@@ -208,6 +209,56 @@ class TestC1Command:
         code = main(["c1", cw1_violator_file])
         assert code == 1
         assert "condition_CW1" in capsys.readouterr().err
+
+
+def _jet_file(tmp_path, name, values, gradients):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"dimension": 1, "points": [[0.0], [1.0]],
+                                "values": values, "gradients": gradients}))
+    return str(path)
+
+
+class TestOneVerdict:
+    """validate, extend and c1 decide feasibility by the same rule."""
+
+    def _run(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1) and "(-1,-1)" not in err
+        return code, out, err
+
+    def _builds(self, path):
+        return (["extend", path, "--modulus", "linear", "--samples", "200"],
+                ["c1", path, "--samples", "200"])
+
+    def test_tangent_pair_with_a_tiny_gradient_gap(self, tmp_path, capsys):
+        path = _jet_file(tmp_path, "gap", [0.0, 0.0], [[0.0], [1e-12]])
+        code, out, _ = self._run(capsys, ["validate", path, "--modulus", "linear"])
+        payload = json.loads(out)
+        assert code == 1 and payload["feasible"] is False and payload["condition_C"]["ok"]
+        assert [(v["y"], v["z"]) for v in payload["condition_CW1"]["violations"]] == [(1, 0)]
+        for argv in self._builds(path):
+            code, _, err = self._run(capsys, argv)
+            assert code == 1 and err == "infeasible: jet violates condition_CW1 at pairs (1,0)\n"
+
+    def test_dip_inside_the_relative_slack(self, tmp_path, capsys):
+        path = _jet_file(tmp_path, "dip", [1e6, 1e6 - 1e-6], [[0.0], [0.0]])
+        code, out, _ = self._run(capsys, ["validate", path, "--modulus", "linear"])
+        payload = json.loads(out)
+        assert code == 0 and payload["feasible"] is True
+        assert payload["condition_C"]["ok"] and payload["condition_CW1"]["ok"]
+        for argv in self._builds(path):
+            assert "infeasible" not in self._run(capsys, argv)[2]
+
+
+@pytest.mark.parametrize("command, passes", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 3)])
+def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, command, passes):
+    calls = []
+    original = jet.pair_defects
+    monkeypatch.setattr(jet, "pair_defects", lambda j: calls.append(1) or original(j))
+    argv = [command, halfsq_file] + (["--modulus", "linear"] if command != "c1" else [])
+    main(argv + (["--samples", "100"] if command in ("extend", "c1") else []))
+    assert len(calls) == passes
 
 
 class TestInternalErrors:

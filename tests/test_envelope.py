@@ -17,7 +17,13 @@ from convext.jet import Jet, seminorm_A_intrinsic, sup_norm_gradients
 from convext.lp import CertificationError, convex_combination_min
 from convext.modulus import HolderModulus, LinearModulus, ScaledModulus, TableModulus
 
-from conftest import normalized_jet, random_concave_table, random_convex_function, random_modulus
+from conftest import (
+    normalized_jet,
+    random_concave_table,
+    random_convex_function,
+    random_feasible_jet,
+    random_modulus,
+)
 
 AFFINE_JET = Jet([[-1.0], [1.0]], [-2.0, 4.0], [[3.0], [3.0]])  # f(t) = 3t + 1
 
@@ -438,6 +444,28 @@ class TestConjugateSolve:
             keep = dist > 1e-3
             ratio = np.abs(F_L[i] - F_L[j])[keep] / dist[keep]
             assert np.max(ratio) <= L * (1.0 + 1e-6)
+
+    def test_axis_embedded_jet_matches_its_1d_hull(self):
+        """A 1-D jet on the x1-axis of R^2 and R^3, gradients (G, 0): on the axis
+        conv(g) is the 1-D conv(g), which the hull on [-60, 60] bounds from above.
+        An upper bracket end charging |s| |x - xbar| fell 0.98 below it here."""
+        rng = np.random.default_rng(20240817)
+        for k in range(75):        # criterion 4's suite, up to jet k = 74
+            kind = k % 3
+            m = (HolderModulus(float(rng.uniform(0.5, 1.0))) if kind == 0
+                 else LinearModulus() if kind == 1 else random_concave_table(rng))
+            jet = random_feasible_jet(rng, 1, int(rng.integers(2, 8)))
+            rng.integers(1 << 30)
+        jet = jet.scaled(1.0 / seminorm_A_intrinsic(jet, m)[0])
+        assert isinstance(m, TableModulus) and jet.size == 4
+        xs = np.linspace(-3.0, 3.0, 61)
+        hull = build_envelope(Generator(jet, m, 1.0), [-60.0], [60.0], 40001).value_many(xs[:, None])
+        for d in (2, 3):
+            pad = np.zeros((jet.size, d - 1))
+            gen = Generator(Jet(np.hstack([jet.points, pad]), jet.values, np.hstack([jet.gradients, pad])), m, 1.0)
+            F = convex_combination_min(gen, np.column_stack([xs] + [np.zeros_like(xs)] * (d - 1)))[0]
+            assert np.all(F <= hull + 1e-9 * (1.0 + np.abs(hull)))
+            assert np.all(F >= hull - 1e-4)
 
 
 class TestFailureContract:

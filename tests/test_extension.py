@@ -209,11 +209,20 @@ class TestTwoDimensional:
         assert checks["empirical_A_vs_bound"].passed
         assert checks["lipschitz_cap_upper"].passed
 
+    def test_3d_default_resolution_measures_the_seminorms(self, rng):
+        # the pair-separation floor keeps sample pairs in a 33^3 box
+        m = LinearModulus()
+        jet = normalized_jet(rng, 3, 4, m, spread=0.6)
+        model = build_extension(jet, ExtensionConfig(modulus=m))
+        rep = verify_extension(model, samples=200, seed=3)
+        assert np.isfinite(rep.empirical_A) and np.isfinite(rep.empirical_lip_omega_gradF)
+        assert rep.empirical_A > 0.0 and rep.ok
+
     def test_finite_A_error_names_tangent_pairs(self):
         bad = Jet([[0.0], [1.0]], [0.0, 0.0], [[0.0], [1.0]])
         with pytest.raises(InfeasibleJetError) as err:
             build_extension(bad, ExtensionConfig(modulus=LinearModulus()))
-        assert err.value.condition == "finite_A"
+        assert err.value.condition == "condition_CW1"
         assert (0, 1) in [(i, j) for i, j, _ in err.value.pairs] or \
                (1, 0) in [(i, j) for i, j, _ in err.value.pairs]
 

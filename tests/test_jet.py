@@ -83,6 +83,41 @@ class TestConditions:
         jet = Jet([[0.0], [1.0]], [0.0, 0.0], [[0.0], [0.0]])
         assert check_condition_CW1(jet).ok
 
+    def test_A_is_finite_exactly_when_both_conditions_hold(self):
+        """Planted pairs at C in {0, +-slack/2, +-2 slack} and S in {0, 1e-12, 1}."""
+        rng = np.random.default_rng(88)
+        tol = 1e-9
+        for trial in range(60):
+            d = 1 + trial % 3
+            base = random_feasible_jet(rng, d, int(rng.integers(2, 6)))
+            y, f_y, G_y = base.points[0], base.values[0], base.gradients[0]
+            u = rng.normal(size=d)
+            u /= np.linalg.norm(u)
+            p = y + 0.5 * u
+            f_p = f_y + G_y @ (p - y)
+            slack = tol * (1.0 + abs(f_y) + abs(f_p))
+            c = slack * rng.choice([0.0, 0.5, -0.5, 2.0, -2.0])
+            gap = rng.choice([0.0, 1e-12, 1.0])
+            jet = Jet(np.vstack([base.points, p]), np.append(base.values, f_p + c),
+                      np.vstack([base.gradients, G_y + gap * u]))
+            cond_c, cond_cw1 = check_condition_C(jet, tol), check_condition_CW1(jet, tol)
+            planted = (jet.size - 1, 0)
+            in_c = planted in [(i, j) for i, j, _ in cond_c.violations]
+            in_cw1 = planted in [(i, j) for i, j, _ in cond_cw1.violations]
+            if c != 0.0:
+                assert in_c == (c < -slack)
+                assert in_cw1 == (-slack < c < 0.0 and gap > 0.0)
+            feasible = cond_c.ok and cond_cw1.ok
+            m = HolderModulus(float(rng.uniform(0.3, 1.0))) if trial % 2 else LinearModulus()
+            A_int, per_pair = seminorm_A_intrinsic(jet, m, tol)
+            assert np.isfinite(A_int) == feasible
+            assert np.isfinite(seminorm_A_extrinsic(jet, m, tol)) == feasible
+            assert np.isfinite(compute_A(jet, m, tol)) == feasible
+            assert feasibility_report(jet, m, tol).feasible == feasible
+            if not feasible:
+                failed = cond_c if not cond_c.ok else cond_cw1
+                assert [pair for pair, _ in per_pair] == [(i, j) for i, j, _ in failed.violations]
+
 
 class TestSeminormA:
     def test_two_point_power_closed_form(self):
