@@ -9,7 +9,6 @@ smoothness bounds empirically.
 """
 
 from .modulus import (
-    ConjugatePair,
     HolderModulus,
     LinearModulus,
     Modulus,

@@ -42,21 +42,8 @@ from typing import Optional
 import numpy as np
 
 from .envelope import _lower_hull
-from .extension import (
-    ExtensionConfig,
-    ExtensionModel,
-    VerificationReport,
-    build_extension,
-    verify_extension,
-)
-from .jet import (
-    Jet,
-    _pareto_pairs,
-    _verdict,
-    pair_defects,
-    seminorm_A_extrinsic,
-    sup_norm_gradients,
-)
+from .extension import ConstantTooSmallError, ExtensionConfig, build_extension, verify_extension
+from .jet import Jet, _pareto_pairs, _verdict, pair_defects, sup_norm_gradients
 from .modulus import LinearModulus, Modulus, TableModulus, validate_modulus
 
 __all__ = [
@@ -218,24 +205,23 @@ def c1_extend(
 ):
     """Full qualitative-to-quantitative pipeline.
 
-    Builds the modulus construction, certifies that the jet is feasible for
-    it with constant M = 2 (2L)^(1-alpha), and hands off to the extension
-    pipeline with the Lipschitz cap set to L (so the delivered extension
-    has the sharp Lipschitz constant).  Returns
+    Builds the modulus construction and hands off to the extension pipeline
+    with constant M = 2 (2L)^(1-alpha) and the Lipschitz cap set to L (so
+    the delivered extension has the sharp Lipschitz constant).  The pipeline
+    certifies M >= A - tol for the constructed modulus; a construction that
+    fails it raises RuntimeError.  Returns
     (model, verification report, construction).
     """
     cm = build_construction(jet, alpha=alpha, tol=tol)
     modulus, M = LinearModulus(), "auto"        # a constant jet gets a constant extension
     if not cm.degenerate:
-        A_check = seminorm_A_extrinsic(jet, cm.omega, tol)
-        if not A_check <= cm.M * (1.0 + 1e-9) + 1e-6:
-            raise RuntimeError(
-                f"construction failed: least constant {A_check} exceeds M = {cm.M}"
-            )
         modulus, M = cm.omega, cm.M
     cfg = ExtensionConfig(
         modulus=modulus, M=M, lipschitz="auto",
         smoothness_K=smoothness_K, domain=domain, resolution=resolution, tol=tol,
     )
-    model = build_extension(jet, cfg)
+    try:
+        model = build_extension(jet, cfg)
+    except ConstantTooSmallError as exc:
+        raise RuntimeError(f"construction failed: {exc}") from exc
     return model, verify_extension(model, samples=samples, seed=seed), cm

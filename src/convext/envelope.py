@@ -16,7 +16,9 @@ function below g, F_L(x) = inf_y F(y) + L |x - y|.
 
 * d = 1: sample g over a box on a uniform grid plus all jet points and take
   the lower convex hull of the planar graph (one monotone-chain pass).
-  Evaluation is piecewise-linear interpolation on hull vertices.  F_L is
+  Evaluation is piecewise-linear interpolation on hull vertices, and grad F
+  is the active piece's gradient where the screen ``Generator._exposed``
+  proves F = g, else the slope of the hull segment.  F_L is
   exact by slope clipping: infimal convolution with L|.| adds the indicator
   of [-L, L] to the conjugate F*, so F_L keeps the hull pieces whose slopes
   lie in [-L, L] and continues with slope -L to their left and +L to their
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .jet import Jet, sup_norm_gradients
-from .lp import convex_combination_min
+from .lp import TOL, convex_combination_min
 from .modulus import LinearModulus, Modulus
 
 __all__ = [
@@ -159,8 +161,11 @@ def _as_points(X, d):
     return X
 
 def _pairwise_dist(X, P):
-    sq = np.sum(X * X, axis=1)[:, None] + np.sum(P * P, axis=1)[None, :] - 2.0 * (X @ P.T)
-    return np.sqrt(np.maximum(sq, 0.0))
+    """(len(X), len(P)) distances, summed one axis at a time: exactly 0 at x = p."""
+    sq = np.square(X[:, 0, None] - P[None, :, 0])
+    for k in range(1, X.shape[1]):
+        sq += np.square(X[:, k, None] - P[None, :, k])
+    return np.sqrt(sq, out=sq)
 
 
 def _lower_hull(xs, ys):
@@ -247,6 +252,24 @@ class EnvelopeModel:
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+    def gradient_many(self, X) -> np.ndarray:
+        """grad F at the rows of X, (Q, d).
+
+        d >= 2: the maximizer s* of the conjugate solve.  d = 1: where the
+        screen ``Generator._exposed`` clears x, F = g there and the gradient
+        is the active piece's s, exactly; elsewhere the slope of the hull
+        segment holding x.
+        """
+        X = _as_points(X, self.dimension)
+        if self.dimension > 1:
+            return convex_combination_min(self.generator, X)[1]
+        self._require_inside(X)
+        exposed, _, s = self.generator._exposed(X, -TOL)
+        hx, hy = self.hull_x, self.hull_y
+        k = np.clip(np.searchsorted(hx, X[:, 0], side="right") - 1, 0, len(hx) - 2)
+        slope = (hy[k + 1] - hy[k]) / (hx[k + 1] - hx[k])
+        return np.where(exposed[:, None], s, slope[:, None])
 
     def grid_envelope_values(self) -> np.ndarray:
         """Envelope at every stored sample (d = 1) or grid node (d >= 2)."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "LinearModulus",
     "TableModulus",
     "ScaledModulus",
-    "ConjugatePair",
     "NonCoerciveModulusError",
     "ValidationIssue",
     "ValidationReport",
@@ -100,10 +99,6 @@ class Modulus:
         out = self._conjugate(arr)[0]
         return float(out) if np.ndim(s) == 0 else out
 
-    def conjugate_pair(self) -> "ConjugatePair":
-        inv = self.omega_inv if self.coercive else None
-        return ConjugatePair(phi=self.phi, phi_star=self.phi_star if self.coercive else None, omega_inv=inv)
-
     # -- hooks
 
     def _omega(self, t):
@@ -146,15 +141,6 @@ def _positive_root(b, e):
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = np.sqrt(b * b + e)
         return np.where(b < 0.0, sq - b, e / (b + sq))
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """Bundled phi, its Fenchel conjugate, and omega_inv (None if bounded)."""
-
-    phi: Callable
-    phi_star: Optional[Callable]
-    omega_inv: Optional[Callable]
 
 
 class HolderModulus(Modulus):

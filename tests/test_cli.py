@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from convext import jet
+from convext import c1, jet
 from convext.cli import EXIT_INTERNAL, main
 from convext.fixtures import fixture_path, halfsq_jet, two_point_power_jet
 from convext.lp import CertificationError
@@ -251,7 +251,7 @@ class TestOneVerdict:
             assert "infeasible" not in self._run(capsys, argv)[2]
 
 
-@pytest.mark.parametrize("command, passes", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 3)])
+@pytest.mark.parametrize("command, passes", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 2)])
 def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, command, passes):
     calls = []
     original = jet.pair_defects
@@ -283,6 +283,22 @@ class TestInternalErrors:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error: CertificationError: ") and err.count("\n") == 1
+
+    def test_failed_construction_exits_three(self, halfsq_file, monkeypatch, capsys):
+        build = c1.build_construction
+
+        def shrunk(*args, **kwargs):
+            # here A = M / 4, so halving M would still pass
+            cm = build(*args, **kwargs)
+            cm.M *= 0.1
+            return cm
+
+        monkeypatch.setattr(c1, "build_construction", shrunk)
+        code = main(["c1", halfsq_file, "--samples", "100"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError: construction failed: ")
+        assert err.count("\n") == 1
 
     def test_memory_error_exits_three(self, halfsq_file, monkeypatch, capsys):
         def fail(*args, **kwargs):

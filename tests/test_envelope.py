@@ -13,7 +13,7 @@ from convext.envelope import (
     write_samples_csv,
 )
 from convext.fixtures import single_parabola_jet, two_point_power_jet
-from convext.jet import Jet, seminorm_A_intrinsic, sup_norm_gradients
+from convext.jet import Jet, compute_A, seminorm_A_intrinsic, sup_norm_gradients
 from convext.lp import CertificationError, convex_combination_min
 from convext.modulus import HolderModulus, LinearModulus, ScaledModulus, TableModulus
 
@@ -49,6 +49,16 @@ class TestGeneratorAndMinorant:
     def test_interpolation_at_jet_points(self):
         gen = example_generator()
         assert gen.value([-1.0]) == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_at_jet_points(self, rng, d):
+        # phi(t) = t^1.3 / 1.3 magnifies any rounding in |x - y| near 0
+        m = HolderModulus(0.3)
+        for _ in range(50):
+            jet = random_feasible_jet(rng, d, 6)
+            gen = Generator(jet, m, 1.5 * compute_A(jet, m))
+            err = np.abs(gen.value_many(jet.points) - jet.values) / (1.0 + np.abs(jet.values))
+            assert np.max(err) <= 1e-14
 
     def test_affine_jet_midpoint(self):
         for M in (0.5, 1.0, 2.0):

@@ -17,9 +17,10 @@ from convext.jet import (
     compute_A,
     seminorm_A_intrinsic,
 )
-from convext.modulus import HolderModulus, LinearModulus
+from convext.lp import convex_combination_min
+from convext.modulus import HolderModulus, LinearModulus, ScaledModulus
 
-from conftest import normalized_jet
+from conftest import normalized_jet, random_concave_table
 
 HALFSQ = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
 
@@ -104,10 +105,38 @@ class TestGradient:
         for t in (-0.8, 0.0, 0.9):
             assert model.gradient([t])[0] == pytest.approx(3.0, abs=1e-6)
 
-    def test_stencil_domain_guard(self):
+    def test_query_outside_the_box_raises(self):
         model = parabola_model()
-        with pytest.raises(ValueError):
-            model.gradient([2.999])
+        model.gradient([2.999])
+        with pytest.raises(ValueError, match="outside the envelope domain"):
+            model.gradient([3.5])
+
+    MODULI = {
+        "power": HolderModulus(0.4),
+        "linear": LinearModulus(),
+        "table": random_concave_table(np.random.default_rng(2)),
+        "bounded-table": random_concave_table(np.random.default_rng(3), coercive=False),
+        "scaled": ScaledModulus(HolderModulus(0.7), 2.5),
+    }
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5])
+    @pytest.mark.parametrize("kind", sorted(MODULI))
+    def test_1d_jet_points_give_the_jet_gradient(self, rng, kind, factor):
+        m = self.MODULI[kind]
+        for _ in range(3):
+            jet = normalized_jet(rng, 1, 5, m)
+            model = build_extension(jet, ExtensionConfig(modulus=m, safety_factor=factor))
+            assert np.max(np.abs(model.gradient_many(jet.points) - jet.gradients)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", sorted(MODULI))
+    def test_1d_gradient_matches_the_conjugate_maximizer(self, rng, kind):
+        # inside the jet's span the hull slopes agree with s* up to the sampling
+        m = self.MODULI[kind]
+        jet = normalized_jet(rng, 1, 5, m)
+        model = build_extension(jet, ExtensionConfig(modulus=m, safety_factor=1.5))
+        X = np.linspace(np.min(jet.points), np.max(jet.points), 300)[:, None]
+        s_star = convex_combination_min(model.envelope.generator, X)[1]
+        assert np.max(np.abs(model.gradient_many(X) - s_star)) <= 1e-2 * (1.0 + model.M)
 
 
 class TestVerify:

@@ -57,8 +57,6 @@ class TestEvaluations:
             flat.omega_inv(0.5)
         with pytest.raises(NonCoerciveModulusError):
             flat.phi_star(0.5)
-        pair = flat.conjugate_pair()
-        assert pair.omega_inv is None and pair.phi_star is None
 
     def test_vectorized_matches_scalar(self):
         m = random_concave_table(np.random.default_rng(3))
