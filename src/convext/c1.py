@@ -142,12 +142,11 @@ def build_construction(
     jet: Jet,
     alpha: float = 1.0,
     t_grid=None,
-    n_grid: int = 320,
     tol: float = 1e-9,
 ) -> ConstructedModulus:
     """Tabulate delta, delta1, Delta and build the concave table omega.
 
-    The grid defaults to n_grid log-spaced points on
+    The grid defaults to 320 log-spaced points on
     [1e-4 * diam, 10 * diam].  A jet with L = 0 is constant (by value
     domination) and returns a degenerate record handled downstream by a
     constant extension.
@@ -161,7 +160,7 @@ def build_construction(
     L = sup_norm_gradients(jet)
     if t_grid is None:
         diam = max(jet.diameter(), 1.0)
-        t_grid = np.geomspace(1e-4 * diam, 10.0 * diam, n_grid)
+        t_grid = np.geomspace(1e-4 * diam, 10.0 * diam, 320)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
         if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):

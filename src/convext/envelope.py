@@ -12,7 +12,9 @@ modulus profile), and the *minorant*
 is the pointwise maximum of the tangent planes.  The convex extension is
 the convex envelope F = conv(g), sandwiched between m and g; the variant
 with the sharp Lipschitz constant is the largest convex L-Lipschitz
-function below g, F_L(x) = inf_y F(y) + L |x - y|.
+function below g, F_L(x) = inf_y F(y) + L |x - y|.  Both g and m come
+from the kernels ``jet._planes`` and ``jet._pairwise_dist``, so g(y_k) =
+m(y_k) = f_k exactly.
 
 * d = 1: sample g over a box on a uniform grid plus all jet points and take
   the lower convex hull of the planar graph (one monotone-chain pass).
@@ -25,8 +27,9 @@ function below g, F_L(x) = inf_y F(y) + L |x - y|.
   right.
 * d in {2, 3}: F, F_L and grad F are conv(g) over R^d, evaluated by the
   certified conjugate solve ``lp.convex_combination_min`` from the closed
-  forms g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) of the pieces.  The
-  box only places the stored sample grid (CSV rows).
+  forms g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) of the pieces, with
+  x and y_k measured from the jet's centroid.  The box only places the
+  stored sample grid (CSV rows).
 * d > 3 is rejected.
 
 ``brute_force_envelope`` is an independent randomized upper-bound oracle
@@ -40,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jet import Jet, sup_norm_gradients
+from .jet import Jet, _pairwise_dist, _planes, sup_norm_gradients
 from .lp import TOL, convex_combination_min
 from .modulus import LinearModulus, Modulus
 
@@ -64,15 +67,17 @@ class Generator:
         self.jet = jet
         self.modulus = modulus
         self.M = M
-        # affine part f(y) - <G(y), y> is constant per jet point
-        self._offset = jet.values - np.einsum("ij,ij->i", jet.points, jet.gradients)
+        # the conjugate side works from the jet's centroid, so the solve
+        # handles differences of the size of the jet, not of the origin
+        self._origin = np.mean(jet.points, axis=0)
+        self._Y = jet.points - self._origin
         # each piece's conjugate is finite on the ball |s - G_k| <= radius
         self.radius = 0.0 if M == 0 else M * modulus.omega_sup
 
     def _pieces(self, X) -> np.ndarray:
         """(len(X), n) values of every lifted tangent plane at the rows of X."""
-        D = _pairwise_dist(X, self.jet.points)
-        return self._offset[None, :] + X @ self.jet.gradients.T + self.M * self.modulus.phi(D)
+        P, f, G = self.jet.points, self.jet.values, self.jet.gradients
+        return _planes(P, f, G, X) + self.M * self.modulus.phi(_pairwise_dist(X, P))
 
     def value_many(self, X) -> np.ndarray:
         X = _as_points(X, self.jet.dimension)
@@ -85,17 +90,18 @@ class Generator:
 
     def _conjugates(self, S, idx=None, full=True):
         """g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) for the pieces idx
-        (Q, k) (default: all) at the rows of S; a bounded table continues past
-        its ball.  With ``full``: (values, Z, U, tang, radial), where z_k =
-        grad g_k*(s) = y_k + omega_inv(|s - G_k| / M) u_k, u_k is the unit
-        vector of s - G_k (0 at G_k) and the Hessian of g_k* is tang (I - u u^T)
-        + radial u u^T.  At radius 0 the pieces are affine.
+        (Q, k) (default: all) at the rows of S, with y_k from ``_origin``; a
+        bounded table continues past its ball.  With ``full``: (values, Z, U,
+        tang, radial), where z_k = grad g_k*(s) = y_k + omega_inv(|s - G_k| /
+        M) u_k, u_k is the unit vector of s - G_k (0 at G_k) and the Hessian of
+        g_k* is tang (I - u u^T) + radial u u^T.  At radius 0 the pieces are
+        affine.
         """
         jet, M = self.jet, self.M
         if idx is None:
-            Y, G, f = jet.points[None], jet.gradients[None], jet.values[None]
+            Y, G, f = self._Y[None], jet.gradients[None], jet.values[None]
         else:
-            Y, G, f = jet.points[idx], jet.gradients[idx], jet.values[idx]
+            Y, G, f = self._Y[idx], jet.gradients[idx], jet.values[idx]
         V = S[:, None, :] - G
         dist = np.sqrt(np.sum(V * V, axis=2))
         c = np.sum(S[:, None, :] * Y, axis=2) - f
@@ -122,23 +128,24 @@ class Generator:
         the active piece i, and where its tangent plane lies below g.
 
         That holds when s lies in every ball and each other piece has
-        g_k*(s) <= <s, x> - g(x) - margin (1 + |g(x)|).  With margin >= 0 it
-        proves conv(g)(x) = g(x); a negative margin accepts brackets
-        [<s, x> - max_k g_k*(s), g(x)] up to -margin (1 + |g(x)|) wide.
+        g_k*(s) <= <s, x> - g(x) - margin (1 + |g(x)|), with x and the y_k
+        from ``_origin``.  With margin >= 0 it proves conv(g)(x) = g(x); a
+        negative margin accepts brackets [<s, x> - max_k g_k*(s), g(x)] up to
+        -margin (1 + |g(x)|) wide.
         """
         X = _as_points(X, self.jet.dimension)
         jet, M = self.jet, self.M
-        active = np.argmin(self._pieces(X), axis=1)
+        pieces = self._pieces(X)
+        active = np.argmin(pieces, axis=1)
+        g = pieces[np.arange(len(X)), active]
         u = X - jet.points[active]
         r = np.sqrt(np.sum(u * u, axis=1))
-        # the active piece again from x - y_i: exact at y_i, unlike _pieces
-        g = jet.values[active] + np.einsum("ij,ij->i", jet.gradients[active], u) + M * self.modulus.phi(r)
         with np.errstate(divide="ignore", invalid="ignore"):
             lift = np.where(r > 0, M * self.modulus.omega(r) / r, 0.0)
         s = jet.gradients[active] + lift[:, None] * u
         conj = self._conjugates(s, full=False)
         conj[np.arange(len(X)), active] = -np.inf
-        bound = np.einsum("ij,ij->i", s, X) - g - margin * (1.0 + np.abs(g))
+        bound = np.einsum("ij,ij->i", s, X - self._origin) - g - margin * (1.0 + np.abs(g))
         return (np.max(conj, axis=1) <= bound) & self._dual_feasible(s), g, s
 
 
@@ -147,8 +154,7 @@ def minorant(jet: Jet, X):
     x = np.asarray(X, dtype=float)
     single = x.ndim <= 1
     pts = _as_points(x, jet.dimension)
-    offset = jet.values - np.einsum("ij,ij->i", jet.points, jet.gradients)
-    vals = np.max(offset[None, :] + pts @ jet.gradients.T, axis=1)
+    vals = np.max(_planes(jet.points, jet.values, jet.gradients, pts), axis=1)
     return float(vals[0]) if single else vals
 
 
@@ -159,13 +165,6 @@ def _as_points(X, d):
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {X.shape}")
     return X
-
-def _pairwise_dist(X, P):
-    """(len(X), len(P)) distances, summed one axis at a time: exactly 0 at x = p."""
-    sq = np.square(X[:, 0, None] - P[None, :, 0])
-    for k in range(1, X.shape[1]):
-        sq += np.square(X[:, k, None] - P[None, :, k])
-    return np.sqrt(sq, out=sq)
 
 
 def _lower_hull(xs, ys):
@@ -327,7 +326,7 @@ def _dual_domain_empty(generator: Generator) -> bool:
         return True
     G = G - np.mean(G, axis=0)
     scale = float(np.max(np.sqrt(np.sum(G * G, axis=1))))
-    G, Y = G / scale, generator.jet.points
+    G, Y = G / scale, generator._Y
     h = Generator(Jet(Y, np.sum(G * Y + 0.5 * Y * Y, axis=1), G + Y), LinearModulus(), 1.0)
     r2 = -2.0 * convex_combination_min(h, np.zeros((1, Y.shape[1])))[0][0]
     return r2 > (generator.radius / scale) ** 2 + 1e-8

@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .envelope import Generator, _warn_low_cap, build_envelope
-from .jet import Jet, _A, _pairwise_norms, _verdict, sup_norm_gradients
+from .jet import Jet, _A, _defects, _pairwise_dist, _planes, _verdict, sup_norm_gradients
 from .modulus import Modulus
 
 __all__ = [
@@ -53,10 +53,9 @@ class ConstantTooSmallError(ValueError):
     """An explicit M below the least feasible constant of the jet."""
 
 
-def default_domain(jet: Jet, margin: Optional[float] = None):
+def default_domain(jet: Jet):
     """Axis-aligned box around the jet: bounding box +/- max(1, 2 * diam)."""
-    if margin is None:
-        margin = max(1.0, 2.0 * jet.diameter())
+    margin = max(1.0, 2.0 * jet.diameter())
     lo = np.min(jet.points, axis=0) - margin
     hi = np.max(jet.points, axis=0) + margin
     return lo, hi
@@ -74,10 +73,9 @@ def default_smoothness_constant(m: Modulus) -> float:
 class ExtensionConfig:
     """Knobs for :func:`build_extension`.
 
-    M may be the string "auto" (use the least feasible constant, times
-    ``safety_factor``) or an explicit value >= that constant.  ``lipschitz``
-    may be None (no capped variant), "auto" (cap at sup |G|) or an explicit
-    cap.  ``smoothness_K`` overrides the midpoint-smoothness constant used
+    M may be the string "auto" (use the least feasible constant) or an
+    explicit value >= that constant.  ``lipschitz`` may be None (no capped
+    variant), "auto" (cap at sup |G|) or an explicit cap.  ``smoothness_K`` overrides the midpoint-smoothness constant used
     in the verification bounds (for experiments with non-Euclidean norms).
     ``tol`` is the feasibility tolerance of the jet checks and of A, and the
     slack allowed below A for an explicit M.
@@ -89,7 +87,6 @@ class ExtensionConfig:
     smoothness_K: Optional[float] = None
     domain: Optional[tuple] = None
     resolution: Optional[int] = None
-    safety_factor: float = 1.0
     tol: float = 1e-9
 
 
@@ -171,7 +168,7 @@ def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
     A = _A(verdict, cfg.modulus)
 
     if cfg.M == "auto":
-        M = A * cfg.safety_factor
+        M = A
     else:
         M = float(cfg.M)
         if M < A - cfg.tol:
@@ -261,15 +258,14 @@ def verify_extension(
     model: ExtensionModel,
     samples: int = 2000,
     seed: int = 0,
-    min_separation: Optional[float] = None,
 ) -> VerificationReport:
     """Measure the extension's empirical seminorms and compare to the bounds.
 
     ``samples`` controls the number of random evaluation pairs.  Pairs
-    closer than ``min_separation`` (default: 5 % of the narrowest box side,
-    and in d = 1 at least 10 times ``default_step``) are discarded for the
-    seminorm ratios: below that scale the sampled hull of d = 1, not the
-    extension, dominates the ratio.
+    closer than ``min_separation`` (5 % of the narrowest box side, and in
+    d = 1 at least 10 times ``default_step``; reported in the context) are
+    discarded for the seminorm ratios: below that scale the sampled hull of
+    d = 1, not the extension, dominates the ratio.
     """
     rng = np.random.default_rng(seed)
     m = model.modulus
@@ -278,8 +274,7 @@ def verify_extension(
     sp = model.grid_spacing()
     lo, hi = model.domain
     width = float(np.min(hi - lo))
-    if min_separation is None:
-        min_separation = max(0.05 * width, 10.0 * h if model.dimension == 1 else 0.0)
+    min_separation = max(0.05 * width, 10.0 * h if model.dimension == 1 else 0.0)
     slack_add = 10.0 * M * m.omega(sp) * sp + 1e-12
     mult = 1.05
 
@@ -296,17 +291,13 @@ def verify_extension(
     F_pts = model.value_many(pts)
     G_pts = model.gradient_many(pts)
 
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = _pairwise_norms(pts)
-    keep = dist >= min_separation
-
     # empirical least-constant: (F(x) - F(y) - <gF(y), x-y>) / phi(|x-y|)
-    numer = F_pts[:, None] - F_pts[None, :] - np.einsum("ijd,jd->ij", diff, G_pts)
+    numer, dG, dist = _defects(pts, F_pts, G_pts)
+    keep = dist >= min_separation
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios_A = np.where(keep, numer / m.phi(dist), -np.inf)
     empirical_A = float(np.max(ratios_A))
 
-    dG = _pairwise_norms(G_pts)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios_lip = np.where(keep, dG / m.omega(dist), -np.inf)
     empirical_lip_grad = float(np.max(ratios_lip))
@@ -433,27 +424,21 @@ def check_necessity(model: ExtensionModel, samples: int = 500, seed: int = 0) ->
     F_yz = model.value_many(yz)
     G_yz = model.gradient_many(yz)
 
-    violations = []
-    max_defect = -np.inf
-    for x in xs:
-        planes = F_yz + np.einsum("jd,d->j", G_yz, x) - np.einsum("jd,jd->j", G_yz, yz)
-        dist_xy = np.sqrt(np.sum((yz - x[None, :]) ** 2, axis=1))
-        lhs = np.max(planes)
-        z_idx = int(np.argmax(planes))
-        rhs = planes + M_hat * m.phi(dist_xy)
-        slack = 0.05 * M_hat * m.phi(dist_xy) + 10.0 * model.M * m.omega(sp) * sp + 1e-9
-        defect = lhs - rhs - slack
-        worst = float(np.max(defect))
-        max_defect = max(max_defect, worst)
-        if worst > 0:
-            j = int(np.argmax(defect))
-            violations.append(
-                {"x": x.tolist(), "y": yz[j].tolist(), "z": yz[z_idx].tolist(), "defect": worst}
-            )
+    # rows: the points x; columns: the points y (and z) of the triples
+    planes = _planes(yz, F_yz, G_yz, xs)
+    lift = m.phi(_pairwise_dist(xs, yz))
+    slack = 0.05 * M_hat * lift + 10.0 * model.M * m.omega(sp) * sp + 1e-9
+    defect = np.max(planes, axis=1, keepdims=True) - planes - M_hat * lift - slack
+    z_idx, y_idx = np.argmax(planes, axis=1), np.argmax(defect, axis=1)
+    worst = np.max(defect, axis=1)
+    violations = [
+        {"x": xs[i].tolist(), "y": yz[y_idx[i]].tolist(), "z": yz[z_idx[i]].tolist(), "defect": float(worst[i])}
+        for i in np.flatnonzero(worst > 0)
+    ]
     return {
         "violations": violations,
         "ok": not violations,
-        "max_defect": max_defect,
+        "max_defect": float(np.max(worst)),
         "M_hat": M_hat,
         "triples": int(k * k),
     }

@@ -33,6 +33,11 @@ One rule, ``_verdict``, decides both conditions from one pass over the
 pairs, and A = +inf exactly when one of them fails.  Infeasibility is
 reported as A = +inf, never as an exception, except where an operation
 cannot even be posed (see ``InfeasibleJetError`` users).
+
+Every tangent plane f_k + <G_k, x - p_k> and every distance in the package
+is formed in difference form by ``_planes`` and ``_pairwise_dist``, one
+axis at a time with no (n, n, d) temporary, so nothing depends on the
+origin: a plane is exactly f_k at p_k and a distance exactly 0 at p_k.
 """
 
 from __future__ import annotations
@@ -62,14 +67,23 @@ __all__ = [
 ]
 
 
-def _pairwise_norms(X):
-    """|X_i - X_j| for every pair of rows.
+def _pairwise_dist(X, P):
+    """(len(X), len(P)) distances, summed one axis at a time: exactly 0 at x = p."""
+    sq = np.square(X[:, 0, None] - P[None, :, 0])
+    for k in range(1, X.shape[1]):
+        sq += np.square(X[:, k, None] - P[None, :, k])
+    return np.sqrt(sq, out=sq)
 
-    The difference form keeps exact zeros for equal rows, which the s > 0
-    test of the pair kernel relies on.
-    """
-    diff = X[:, None, :] - X[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+
+def _planes(P, f, G, X):
+    """(len(X), len(P)) values f_k + <G_k, x - p_k> of the tangent planes at
+    the rows of X, summed one axis at a time: exactly f_k at x = p_k."""
+    out = np.repeat(f[None, :], len(X), axis=0)
+    for k in range(X.shape[1]):
+        step = X[:, k, None] - P[None, :, k]
+        step *= G[None, :, k]
+        out += step
+    return out
 
 
 def _json_float(v):
@@ -121,7 +135,7 @@ class Jet:
             )
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
             raise ValueError("jet data must be finite")
-        dist = _pairwise_norms(pts)
+        dist = _pairwise_dist(pts, pts)
         np.fill_diagonal(dist, np.inf)
         if np.min(dist) <= 1e-12:
             i, j = np.unravel_index(np.argmin(dist), dist.shape)
@@ -139,9 +153,7 @@ class Jet:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        if self.size == 1:
-            return 0.0
-        return float(np.max(_pairwise_norms(self.points)))
+        return float(np.max(_pairwise_dist(self.points, self.points)))
 
     def subset(self, indices) -> "Jet":
         idx = np.asarray(indices, dtype=int)
@@ -183,11 +195,12 @@ def pair_defects(jet: Jet):
     C[i, j] = f(y) - f(z) - <G(z), y - z>   (tangent-plane defect),
     S[i, j] = |G(y) - G(z)|, D[i, j] = |y - z|.
     """
-    P, f, G = jet.points, jet.values, jet.gradients
-    PG = P @ G.T                    # PG[i, j] = <p_i, G_j>
-    diag = np.einsum("ij,ij->i", P, G)
-    C = f[:, None] - f[None, :] - (PG - diag[None, :])
-    return C, _pairwise_norms(G), _pairwise_norms(P)
+    return _defects(jet.points, jet.values, jet.gradients)
+
+
+def _defects(P, f, G):
+    """``pair_defects`` of the points P with values f and gradients G."""
+    return f[:, None] - _planes(P, f, G, P), _pairwise_dist(G, G), _pairwise_dist(P, P)
 
 
 def _pareto_pairs(C, S):

@@ -1,7 +1,8 @@
 """Certified conjugate solve for F = conv(g), its Lipschitz cap F_L and grad F.
 
 Each piece g_k of the generator has the conjugate g_k*(s) = <s, y_k> - f_k
-+ M phi*(|s - G_k| / M), finite on the ball |s - G_k| <= R = M sup(omega).
++ M phi*(|s - G_k| / M), finite on the ball |s - G_k| <= R = M sup(omega);
+x, y_k and z_k below are measured from the jet's centroid.
 So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 |s| <= L, and the maximizer s* is the gradient (Rockafellar, Convex Analysis,
 12 and 16).  Queries pass the screen ``Generator._exposed``, a smoothed
@@ -56,10 +57,11 @@ def convex_combination_min(generator, X, L=None):
     if L is not None:
         done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
     F, S, width = g.copy(), s.copy(), np.zeros(len(X))
+    Xc = X - generator._origin          # the solve works from the jet's centroid
     rest = np.flatnonzero(~done)
     for taus, steps in _SCHEDULES:
         if rest.size:
-            F[rest], S[rest], width[rest] = _solve(generator, X[rest], g[rest], s[rest], L, taus, steps)
+            F[rest], S[rest], width[rest] = _solve(generator, Xc[rest], g[rest], s[rest], L, taus, steps)
             rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
     if rest.size:
         k = rest[np.argmax(width[rest] / (1.0 + np.abs(g[rest])))]
@@ -257,7 +259,7 @@ def _bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult):
     r = X - np.einsum("rk,rkd->rd", lam, Z) - np.einsum("rk,rkd->rd", nu, N)
     if L is None:
         Z = Z + r[:, None, :]       # the shifted z_k combine to x exactly
-    D = Z - jet.points[pidx]
+    D = Z - gen._Y[pidx]
     g_z = jet.values[pidx] + np.einsum("rkd,rkd->rk", jet.gradients[pidx], D) \
         + gen.M * gen.modulus.phi(np.sqrt(np.sum(D * D, axis=2)))
     upper = np.einsum("rk,rk->r", lam, g_z) + np.sum(nu * slope, axis=1)

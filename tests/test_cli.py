@@ -5,8 +5,13 @@ import pytest
 
 from convext import c1, jet
 from convext.cli import EXIT_INTERNAL, main
+from convext.extension import ExtensionConfig, build_extension
 from convext.fixtures import fixture_path, halfsq_jet, two_point_power_jet
-from convext.lp import CertificationError
+from convext.jet import Jet, feasibility_report
+from convext.lp import TOL, CertificationError
+from convext.modulus import HolderModulus
+
+from conftest import random_convex_function
 
 
 @pytest.fixture
@@ -46,6 +51,16 @@ class TestValidate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["feasible"] is False
         assert payload["condition_CW1"]["violations"]
+
+    def test_affine_jet_far_from_the_origin(self, tmp_path, capsys):
+        # f(x) = 1e4 (x - 1e5) + 0.25: every pair defect is 0 up to rounding of
+        # f, while <y, G> is 1e9
+        x = 1e5 + np.array([0.0, 1e-4, 3e-4])
+        path = tmp_path / "affine.json"
+        path.write_text(json.dumps(Jet(x, 1e4 * (x - 1e5) + 0.25, np.full(3, 1e4)).to_json()))
+        code = main(["validate", str(path), "--modulus", "linear"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["A"] == 0.0
 
     def test_empty_points_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
@@ -259,6 +274,33 @@ def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, comma
     argv = [command, halfsq_file] + (["--modulus", "linear"] if command != "c1" else [])
     main(argv + (["--samples", "100"] if command in ("extend", "c1") else []))
     assert len(calls) == passes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_translated_jet_gives_the_same_results(tmp_path, capsys, d):
+    # shifting dyadic points by 2^14 or 2^20 keeps every difference exact,
+    # so no result may depend on the shift
+    rng = np.random.default_rng(d)
+    value, grad = random_convex_function(rng, d)
+    cells = rng.choice(33 ** d, size=5, replace=False)
+    pts = np.column_stack(np.unravel_index(cells, (33,) * d)) / 16.0 - 1.0
+    base = Jet(pts, value(pts), grad(pts))
+    m = HolderModulus(0.5)
+    report = json.dumps(feasibility_report(base, m).to_json())
+    model = build_extension(base, ExtensionConfig(modulus=m))
+    F0, S0 = model.value_many(pts), model.gradient_many(pts)
+    for shift in (2.0 ** 14, 2.0 ** 20):
+        jet = Jet(pts + shift, base.values, base.gradients)
+        assert json.dumps(feasibility_report(jet, m).to_json()) == report
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(jet.to_json()))
+        assert main(["extend", str(path), "--modulus", "holder:0.5", "--samples", "200"]) == 0
+        if d == 1:
+            assert json.loads(capsys.readouterr().out)["verification"]["interpolation_max_error"] == 0.0
+        model = build_extension(jet, ExtensionConfig(modulus=m))
+        F, S = model.value_many(jet.points), model.gradient_many(jet.points)
+        assert np.all(np.abs(F - F0) <= 2.0 * TOL * (1.0 + np.abs(base.values)))
+        assert np.max(np.abs(S - S0)) <= 1e-9
 
 
 class TestInternalErrors:

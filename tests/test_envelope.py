@@ -50,15 +50,22 @@ class TestGeneratorAndMinorant:
         gen = example_generator()
         assert gen.value([-1.0]) == pytest.approx(2.0 / 3.0)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_exact_at_jet_points(self, rng, d):
-        # phi(t) = t^1.3 / 1.3 magnifies any rounding in |x - y| near 0
-        m = HolderModulus(0.3)
+        # phi(t) = t^1.3 / 1.3 magnifies any rounding in |x - y| near 0, and a
+        # plane formed as (f_k - <y_k, G_k>) + <x, G_k> cancels far from 0
+        cases = []
         for _ in range(50):
             jet = random_feasible_jet(rng, d, 6)
+            cases += [(Jet(jet.points + shift, jet.values, jet.gradients), HolderModulus(0.3))
+                      for shift in (0.0, 1e4, 1e6)]
+        if d == 1:      # the jet of a quadratic with f'(1000) = 1000.1, f'(1001.3) = 1003.7
+            y, G = np.array([1000.0, 1001.3]), np.array([1000.1, 1003.7])
+            cases.append((Jet(y, [0.3, 0.3 + 0.5 * (G[0] + G[1]) * (y[1] - y[0])], G), HolderModulus(0.5)))
+        for jet, m in cases:
             gen = Generator(jet, m, 1.5 * compute_A(jet, m))
-            err = np.abs(gen.value_many(jet.points) - jet.values) / (1.0 + np.abs(jet.values))
-            assert np.max(err) <= 1e-14
+            assert np.array_equal(gen.value_many(jet.points), jet.values)
+            assert np.array_equal(minorant(jet, jet.points), jet.values)
 
     def test_affine_jet_midpoint(self):
         for M in (0.5, 1.0, 2.0):

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from convext import extension
 from convext.envelope import Generator, build_envelope
 from convext.extension import (
     ConstantTooSmallError,
@@ -125,7 +128,7 @@ class TestGradient:
         m = self.MODULI[kind]
         for _ in range(3):
             jet = normalized_jet(rng, 1, 5, m)
-            model = build_extension(jet, ExtensionConfig(modulus=m, safety_factor=factor))
+            model = build_extension(jet, ExtensionConfig(modulus=m, M=factor * compute_A(jet, m)))
             assert np.max(np.abs(model.gradient_many(jet.points) - jet.gradients)) <= 1e-8
 
     @pytest.mark.parametrize("kind", sorted(MODULI))
@@ -133,7 +136,7 @@ class TestGradient:
         # inside the jet's span the hull slopes agree with s* up to the sampling
         m = self.MODULI[kind]
         jet = normalized_jet(rng, 1, 5, m)
-        model = build_extension(jet, ExtensionConfig(modulus=m, safety_factor=1.5))
+        model = build_extension(jet, ExtensionConfig(modulus=m, M=1.5 * compute_A(jet, m)))
         X = np.linspace(np.min(jet.points), np.max(jet.points), 300)[:, None]
         s_star = convex_combination_min(model.envelope.generator, X)[1]
         assert np.max(np.abs(model.gradient_many(X) - s_star)) <= 1e-2 * (1.0 + model.M)
@@ -199,6 +202,28 @@ class TestNecessity:
         assert model.A == pytest.approx(0.0, abs=1e-12)
         rep = check_necessity(model, samples=300, seed=4)
         assert rep["ok"]
+
+    def test_matches_a_loop_over_x(self, monkeypatch):
+        # with M_hat = 0 most points x violate, so every field is compared
+        real = extension.verify_extension
+        monkeypatch.setattr(extension, "verify_extension", lambda *a, **kw: dataclasses.replace(
+            real(*a, **kw), empirical_lip_omega_gradF=0.0))
+        model, m = parabola_model(), LinearModulus()
+        rep = check_necessity(model, samples=300, seed=4)
+        rng, k, sp = np.random.default_rng(4), 10, model.grid_spacing()
+        xs = extension._sample_interior(model, rng, k, pad=0.0)
+        yz = extension._sample_interior(model, rng, k, pad=1.5 * model.default_step())
+        F, G = model.value_many(yz), model.gradient_many(yz)
+        expected, worst = [], []
+        for x in xs:
+            planes = F + np.einsum("jd,jd->j", G, x - yz)
+            defect = np.max(planes) - planes - 10.0 * model.M * m.omega(sp) * sp - 1e-9
+            worst.append(np.max(defect))
+            if worst[-1] > 0:
+                expected.append((x.tolist(), yz[np.argmax(defect)].tolist(), yz[np.argmax(planes)].tolist()))
+        assert len(expected) > k // 2
+        assert [(v["x"], v["y"], v["z"]) for v in rep["violations"]] == expected
+        assert rep["max_defect"] == pytest.approx(max(worst), rel=1e-12)
 
 
 class TestRoundTrip:
@@ -266,11 +291,6 @@ class TestConfigResolution:
         cfg = ExtensionConfig(modulus=LinearModulus(), M="auto", lipschitz=0.25)
         with pytest.warns(UserWarning, match="below sup"):
             build_extension(HALFSQ, cfg)
-
-    def test_safety_factor(self):
-        cfg = ExtensionConfig(modulus=LinearModulus(), M="auto", safety_factor=1.5)
-        model = build_extension(HALFSQ, cfg)
-        assert model.M == pytest.approx(1.5 * model.A)
 
     def test_smoothness_default_by_kind(self):
         m05 = build_extension(HALFSQ, ExtensionConfig(modulus=HolderModulus(0.5)))
