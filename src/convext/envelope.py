@@ -136,8 +136,7 @@ class Generator:
         X = _as_points(X, self.jet.dimension)
         jet, M = self.jet, self.M
         pieces = self._pieces(X)
-        active = np.argmin(pieces, axis=1)
-        g = pieces[np.arange(len(X)), active]
+        active, g = np.argmin(pieces, axis=1), np.min(pieces, axis=1)
         u = X - jet.points[active]
         r = np.sqrt(np.sum(u * u, axis=1))
         with np.errstate(divide="ignore", invalid="ignore"):
