@@ -111,7 +111,7 @@ def compute_delta(jet: Jet, t: float, tol: float = 1e-9) -> float:
     verdict = _verdict(jet, tol)
     if not verdict.condition_C.ok:
         raise verdict.error
-    return float(_delta(*_pareto_pairs(verdict.C, verdict.S)[2:], np.array([t]))[0])
+    return float(_delta(*verdict.front[2:], np.array([t]))[0])
 
 
 def delta1_value(jet: Jet, L: float, t):
@@ -156,7 +156,7 @@ def build_construction(
     verdict = _verdict(jet, tol)
     if verdict.error:
         raise verdict.error
-    c, s = _pareto_pairs(verdict.C, verdict.S)[2:]
+    c, s = verdict.front[2:]
     L = sup_norm_gradients(jet)
     if t_grid is None:
         diam = max(jet.diameter(), 1.0)

@@ -269,6 +269,14 @@ class EnvelopeModel:
         slope = (hy[k + 1] - hy[k]) / (hx[k + 1] - hx[k])
         return np.where(exposed[:, None], s, slope[:, None])
 
+    def _value_and_gradient(self, X):
+        """(F, grad F) at the rows of X: one conjugate solve in d >= 2, and
+        ``value_many`` and ``gradient_many`` in d = 1."""
+        X = _as_points(X, self.dimension)
+        if self.dimension > 1:
+            return convex_combination_min(self.generator, X)
+        return self.value_many(X), self.gradient_many(X)
+
     def grid_envelope_values(self) -> np.ndarray:
         """Envelope at every stored sample (d = 1) or grid node (d >= 2)."""
         return self.value_many(self.sample_x[:, None] if self.dimension == 1 else self.grid_points)

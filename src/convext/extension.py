@@ -140,7 +140,7 @@ class ExtensionModel:
     def restriction(self) -> Jet:
         """The jet (F, grad F) restricted back to the original points."""
         E = self.jet.points
-        return Jet(E, self.value_many(E), self.gradient_many(E))
+        return Jet(E, *self.envelope._value_and_gradient(E))
 
     def manifest(self) -> dict:
         lo, hi = self.domain
@@ -280,16 +280,14 @@ def verify_extension(
 
     # interpolation on the jet points
     E = model.jet.points
-    F_E = model.value_many(E)
+    F_E, G_E = model.envelope._value_and_gradient(E)
     interp_err = float(np.max(np.abs(F_E - model.jet.values)))
-    G_E = model.gradient_many(E)
     grad_err = float(np.max(np.sqrt(np.sum((G_E - model.jet.gradients) ** 2, axis=1))))
 
     # gradient-bearing sample points, 1.5 default steps inside the box
     n_pts = max(40, int(np.sqrt(2.0 * samples)))
     pts = _sample_interior(model, rng, n_pts, pad=h * 1.5)
-    F_pts = model.value_many(pts)
-    G_pts = model.gradient_many(pts)
+    F_pts, G_pts = model.envelope._value_and_gradient(pts)
 
     # empirical least-constant: (F(x) - F(y) - <gF(y), x-y>) / phi(|x-y|)
     numer, dG, dist = _defects(pts, F_pts, G_pts)
@@ -421,8 +419,7 @@ def check_necessity(model: ExtensionModel, samples: int = 500, seed: int = 0) ->
     k = max(10, int(round(samples ** (1.0 / 3.0)) + 2))
     xs = _sample_interior(model, rng, k, pad=0.0)
     yz = _sample_interior(model, rng, k, pad=1.5 * h)
-    F_yz = model.value_many(yz)
-    G_yz = model.gradient_many(yz)
+    F_yz, G_yz = model.envelope._value_and_gradient(yz)
 
     # rows: the points x; columns: the points y (and z) of the triples
     planes = _planes(yz, F_yz, G_yz, xs)

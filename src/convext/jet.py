@@ -16,8 +16,11 @@ s = |G(y) - G(z)| and decreases in the tangent defect
 c = f(y) - f(z) - <G(z), y - z>.  One kernel, ``_pareto_pairs``, reduces
 the n (n - 1) ordered pairs to the Pareto front of the points (c, s): the
 pairs with s > 0 that no other pair dominates.  On dense jets the front
-holds O(n) pairs.  The least constant A below and the c1 construction's
-delta and delta1 are evaluated on the front only.
+holds O(n) pairs.  Before its exact sort, the kernel drops the pairs that
+a bucket of strictly larger s proves strictly dominated, so on such jets
+only a thin candidate set is sorted.  The least constant A below and the
+c1 construction's delta and delta1 are evaluated on the front only, which
+a verdict builds at most once and only where condition (C) holds.
 
 * ``seminorm_A_*``: the least constant M such that every tangent plane,
   lifted by M * phi(|x - y|), dominates every other tangent plane.  The
@@ -43,7 +46,8 @@ origin: a plane is exactly f_k at p_k and a distance exactly 0 at p_k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -211,9 +215,28 @@ def _pareto_pairs(C, S):
     (c_B, s_B): every constant computed from the pairs is then at least as
     large at A as at B.  Pairs with s = 0 never decide one, and exact ties
     are all kept.  The arrays come back in (y, z) row-major order.
+
+    A prefilter first drops pairs that are strictly dominated.  The pairs
+    go into about sqrt(N) equal-width buckets of s; the bucket index
+    floor((s - lo) / (hi - lo) * B) never decreases as s grows, so a pair
+    in a higher bucket has a strictly larger s.  A pair whose c exceeds the
+    least c of all higher buckets is therefore dominated by a pair with
+    larger s and smaller c, as are its exact ties, which share its bucket.
+    Following such pairs up the buckets ends at a pair on the front, so
+    the dropped pairs change no survivor's verdict, and the exact sort
+    below runs on the survivors only.
     """
-    i, j = np.nonzero(S > 0.0)
-    c, s = np.maximum(C[i, j], 0.0), S[i, j]
+    flat = np.flatnonzero(S > 0.0)
+    c, s = np.maximum(C.ravel()[flat], 0.0), S.ravel()[flat]
+    lo, hi = np.min(s, initial=np.inf), np.max(s, initial=0.0)
+    if hi > lo:
+        B = int(np.sqrt(s.size))
+        bucket = np.clip(np.floor((s - lo) / (hi - lo) * B), 0, B - 1).astype(np.intp)
+        least = np.full(B + 1, np.inf)
+        np.minimum.at(least, bucket, c)
+        above = np.minimum.accumulate(least[::-1])[::-1][1:]    # least c of the higher buckets
+        keep = c <= above[bucket]
+        flat, c, s = flat[keep], c[keep], s[keep]
     order = np.lexsort((c, -s))          # s descending, then c ascending
     cs, ss = c[order], s[order]
     n = len(order)
@@ -224,7 +247,8 @@ def _pareto_pairs(C, S):
     # a run head is on the front when it is lower; its ties share the verdict
     start = np.maximum.accumulate(np.where(head, np.arange(n), 0))
     keep = np.sort(order[lower[start]])
-    return i[keep], j[keep], c[keep], s[keep]
+    i, j = np.divmod(flat[keep], C.shape[1])
+    return i, j, c[keep], s[keep]
 
 
 @dataclass
@@ -242,7 +266,8 @@ class ConditionReport:
         }
 
 
-class _Verdict(NamedTuple):
+@dataclass
+class _Verdict:
     """One pass over the ordered pairs, from ``_verdict``."""
 
     condition_C: ConditionReport
@@ -251,6 +276,11 @@ class _Verdict(NamedTuple):
     C: np.ndarray
     S: np.ndarray
     D: np.ndarray
+
+    @cached_property
+    def front(self):
+        """``_pareto_pairs(C, S)``, built on first use; read only where (C) holds."""
+        return _pareto_pairs(self.C, self.S)
 
 
 def _condition(mask, residual):
@@ -313,7 +343,7 @@ def _A_intrinsic(v: _Verdict, m: Modulus):
     """(A, per_pair) of the intrinsic route on a verdict's pairs."""
     if v.error:
         return np.inf, [((i, j), np.inf) for i, j, _ in v.error.pairs]
-    ii, jj, c, s = _pareto_pairs(v.C, v.S)
+    ii, jj, c, s = v.front
     M = _pair_constants(c, s, m)
     pos = M > 0.0
     per_pair = list(zip(zip(ii[pos].tolist(), jj[pos].tolist()), M[pos].tolist()))
@@ -324,7 +354,7 @@ def _A_extrinsic(v: _Verdict, m: Modulus) -> float:
     """A by the extrinsic route on a verdict's pairs."""
     if v.error:
         return np.inf
-    _, _, c, s = _pareto_pairs(v.C, v.S)
+    _, _, c, s = v.front
     return float(np.max(_pair_ratios(c, s, m), initial=0.0))
 
 

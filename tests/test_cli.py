@@ -276,6 +276,17 @@ def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, comma
     assert len(calls) == passes
 
 
+
+@pytest.mark.parametrize("command, fronts", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 2)])
+def test_pareto_fronts_per_command(halfsq_file, monkeypatch, capsys, command, fronts):
+    calls = []
+    original = jet._pareto_pairs
+    for module in (jet, c1):
+        monkeypatch.setattr(module, "_pareto_pairs", lambda C, S: calls.append(1) or original(C, S))
+    argv = [command, halfsq_file] + (["--modulus", "linear"] if command != "c1" else [])
+    main(argv + (["--samples", "100"] if command in ("extend", "c1") else []))
+    assert len(calls) == fronts
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_translated_jet_gives_the_same_results(tmp_path, capsys, d):
     # shifting dyadic points by 2^14 or 2^20 keeps every difference exact,

@@ -253,6 +253,38 @@ def _all_pairs(jet):
     return i, j, np.maximum(C[i, j], 0.0), S[i, j]
 
 
+
+def _reference_front(C, S):
+    """``_pareto_pairs`` by one lexsort of every pair with s > 0 (no prefilter)."""
+    i, j = np.nonzero(S > 0.0)
+    c, s = np.maximum(C[i, j], 0.0), S[i, j]
+    order = np.lexsort((c, -s))
+    cs, ss = c[order], s[order]
+    n = len(order)
+    head = np.ones(n, dtype=bool)
+    head[1:] = (cs[1:] != cs[:-1]) | (ss[1:] != ss[:-1])
+    lower = np.ones(n, dtype=bool)
+    lower[1:] = cs[1:] < np.minimum.accumulate(cs)[:-1]
+    start = np.maximum.accumulate(np.where(head, np.arange(n), 0))
+    keep = np.sort(order[lower[start]])
+    return i[keep], j[keep], c[keep], s[keep]
+
+
+def _parity_jets():
+    """Random, tie-heavy, skewed, equal-gap, constant-gradient and one-point jets."""
+    rng = np.random.default_rng(24)
+    for n in (2, 3, 7, 40, 150, 400):
+        for d in (1, 2, 3):
+            yield random_feasible_jet(rng, d, n)
+    grid = np.stack(np.meshgrid(np.arange(-6, 7), np.arange(-6, 7)), axis=-1).reshape(-1, 2) / 4.0
+    yield Jet(grid, 0.5 * np.sum(grid * grid, axis=1), grid)          # quadratic: exact ties
+    x = np.append(rng.uniform(-1.0, 1.0, 200), 1000.0)
+    yield Jet(x, 0.5 * x * x, x)          # the outlier's gap puts every other pair in bucket 0
+    x = np.concatenate([-rng.uniform(0.1, 1.0, 30), rng.uniform(0.1, 1.0, 30)])
+    yield Jet(x, np.abs(x), np.sign(x))   # every positive gap equals 2
+    yield Jet([[0.0], [1.0], [2.0]], [0.0, 3.0, 6.0], [[3.0], [3.0], [3.0]])
+    yield Jet([[0.5, -0.5]], [1.0], [[2.0, 0.0]])
+
 def _kernel_moduli(rng):
     """Hoelder, linear, coercive-table, bounded-table and scaled moduli."""
     return [
@@ -280,6 +312,14 @@ class TestPairKernel:
                 zip(i[~dominated].tolist(), j[~dominated].tolist())
             )
             assert np.array_equal(fc, c[~dominated]) and np.array_equal(fs, s[~dominated])
+
+    def test_prefilter_keeps_the_reference_front(self):
+        """Same pairs, values and order as one lexsort over every pair."""
+        for jet in _parity_jets():
+            C, S, _ = pair_defects(jet)
+            front, reference = _pareto_pairs(C, S), _reference_front(C, S)
+            for got, want in zip(front, reference):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_constant_gradients_give_an_empty_front(self):
         jet = Jet([[0.0], [1.0], [2.0]], [0.0, 3.0, 6.0], [[3.0], [3.0], [3.0]])
