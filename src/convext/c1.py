@@ -11,7 +11,8 @@ one from the data:
   s the gradient gap: the witness direction aligns with the gradient gap
   and the optimal witness distance is t itself.  Each term increases in s
   and decreases in c, so the maximum runs over the Pareto front of the
-  pairs (``jet._pareto_pairs``) only.
+  pairs (``jet._pareto_pairs``) only, as the verdict builds it once
+  condition (C) holds.
 * ``delta1(t) = inf_{0<s<1} delta(s) + (2 L / s) t``: a concave,
   non-decreasing upper envelope of delta.  In u = 1/s,
   ``h(u) = delta(1/u) = max(0, max_k s_k - c_k u)`` is convex and
@@ -43,7 +44,7 @@ import numpy as np
 
 from .envelope import _lower_hull
 from .extension import ConstantTooSmallError, ExtensionConfig, build_extension, verify_extension
-from .jet import Jet, _pareto_pairs, _verdict, pair_defects, sup_norm_gradients
+from .jet import Jet, _verdict, sup_norm_gradients
 from .modulus import LinearModulus, Modulus, TableModulus, validate_modulus
 
 __all__ = [
@@ -85,10 +86,13 @@ class ConstructedModulus:
         return out
 
 
-def _front(jet: Jet):
-    """Defects (c, s) of the jet's Pareto-front pairs."""
-    C, S, _ = pair_defects(jet)
-    return _pareto_pairs(C, S)[2:]
+def _front_under_C(jet: Jet, tol: float = 1e-9):
+    """Defects (c, s) of the verdict's Pareto-front pairs; raises the
+    verdict's error when condition (C) fails."""
+    verdict = _verdict(jet, tol)
+    if not verdict.condition_C.ok:
+        raise verdict.error
+    return verdict.front[2:]
 
 
 def _delta(c, s, ts):
@@ -96,11 +100,12 @@ def _delta(c, s, ts):
 
 
 def delta_many(jet: Jet, ts) -> np.ndarray:
-    """delta on an array of positive distances (exact finite-set reduction)."""
+    """delta on an array of positive distances (exact finite-set reduction);
+    needs condition (C) only, like ``compute_delta``."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("delta is defined for t > 0")
-    return _delta(*_front(jet), ts)
+    return _delta(*_front_under_C(jet), ts)
 
 
 def compute_delta(jet: Jet, t: float, tol: float = 1e-9) -> float:
@@ -108,10 +113,7 @@ def compute_delta(jet: Jet, t: float, tol: float = 1e-9) -> float:
     condition (C) only."""
     if t <= 0:
         raise ValueError("delta is defined for t > 0")
-    verdict = _verdict(jet, tol)
-    if not verdict.condition_C.ok:
-        raise verdict.error
-    return float(_delta(*verdict.front[2:], np.array([t]))[0])
+    return float(_delta(*_front_under_C(jet, tol), np.array([t]))[0])
 
 
 def delta1_value(jet: Jet, L: float, t):
@@ -120,9 +122,10 @@ def delta1_value(jet: Jet, L: float, t):
     In u = 1/s the infimand is h(u) + 2 L t u with h convex and piecewise
     linear, so the infimum over u >= 1 is attained at u = 1 or at a
     breakpoint of h above 1.  The breakpoints are the slopes of the upper
-    hull of the front points (c_k, s_k) and the origin.
+    hull of the front points (c_k, s_k) and the origin.  Needs condition
+    (C) only, like ``compute_delta``.
     """
-    return _delta1(*_front(jet), L, t)
+    return _delta1(*_front_under_C(jet), L, t)
 
 
 def _delta1(c, s, L, t):

@@ -124,7 +124,7 @@ def cmd_constants(args) -> int:
         "L": sup_norm_gradients(jet),
         "A_intrinsic": _json_float(A) if modulus.coercive else None,
         "A_extrinsic": _json_float(A_extrinsic),
-        "lip_omega_G": rel["lip_omega_G"],
+        "lip_omega_G": _json_float(rel["lip_omega_G"]),
         "relation": {k: _json_float(v) for k, v in rel.items()},
     }, args.report)
     return EXIT_OK if np.isfinite(A) else EXIT_FAILED

@@ -14,7 +14,8 @@ the convex envelope F = conv(g), sandwiched between m and g; the variant
 with the sharp Lipschitz constant is the largest convex L-Lipschitz
 function below g, F_L(x) = inf_y F(y) + L |x - y|.  Both g and m come
 from the kernels ``jet._planes`` and ``jet._pairwise_dist``, so g(y_k) =
-m(y_k) = f_k exactly.
+m(y_k) = f_k exactly, and they run on row blocks of ``jet._blocks``, so
+no (queries, pieces) temporary outgrows a fixed element budget.
 
 * d = 1: sample g over a box on a uniform grid plus all jet points and take
   the lower convex hull of the planar graph (one monotone-chain pass).
@@ -29,7 +30,7 @@ m(y_k) = f_k exactly.
   certified conjugate solve ``lp.convex_combination_min`` from the closed
   forms g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) of the pieces, with
   x and y_k measured from the jet's centroid.  The box only places the
-  stored sample grid (CSV rows).
+  grid of CSV rows; nothing is evaluated there until the CSV is written.
 * d > 3 is rejected.
 
 ``brute_force_envelope`` is an independent randomized upper-bound oracle
@@ -43,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .jet import Jet, _pairwise_dist, _planes, sup_norm_gradients
+from .jet import Jet, _blocks, _pairwise_dist, _planes, sup_norm_gradients
 from .lp import TOL, convex_combination_min
 from .modulus import LinearModulus, Modulus
 
@@ -81,7 +82,7 @@ class Generator:
 
     def value_many(self, X) -> np.ndarray:
         X = _as_points(X, self.jet.dimension)
-        return np.min(self._pieces(X), axis=1)
+        return _blocks(lambda X: np.min(self._pieces(X), axis=1), self.jet.size, X)
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -153,7 +154,8 @@ def minorant(jet: Jet, X):
     x = np.asarray(X, dtype=float)
     single = x.ndim <= 1
     pts = _as_points(x, jet.dimension)
-    vals = np.max(_planes(jet.points, jet.values, jet.gradients, pts), axis=1)
+    P, f, G = jet.points, jet.values, jet.gradients
+    vals = _blocks(lambda X: np.max(_planes(P, f, G, X), axis=1), jet.size, pts)
     return float(vals[0]) if single else vals
 
 
@@ -197,7 +199,8 @@ class EnvelopeModel:
     Built by :func:`build_envelope`.  In d = 1, queries must lie in the box
     and interpolate the lower hull of g sampled there; in d >= 2 each is a
     certified conjugate solve of conv(g) over R^d, and the box only places
-    the sample grid.  ``lipschitz_cap`` records the L of the capped variant.
+    ``grid_points``, the CSV rows, where nothing is evaluated up front.
+    ``lipschitz_cap`` records the L of the capped variant.
     """
 
     def __init__(self, generator, lo, hi, resolution, lipschitz_cap=None):
@@ -220,7 +223,6 @@ class EnvelopeModel:
             axes = [np.linspace(self.lo[k], self.hi[k], self.resolution) for k in range(d)]
             mesh = np.meshgrid(*axes, indexing="ij")
             self.grid_points = np.column_stack([m.ravel() for m in mesh])
-            self.grid_g = generator.value_many(self.grid_points)
 
     # -- helpers
 
@@ -263,7 +265,8 @@ class EnvelopeModel:
         if self.dimension > 1:
             return convex_combination_min(self.generator, X)[1]
         self._require_inside(X)
-        exposed, _, s = self.generator._exposed(X, -TOL)
+        gen = self.generator
+        exposed, _, s = _blocks(lambda X: gen._exposed(X, -TOL), gen.jet.size, X)
         hx, hy = self.hull_x, self.hull_y
         k = np.clip(np.searchsorted(hx, X[:, 0], side="right") - 1, 0, len(hx) - 2)
         slope = (hy[k + 1] - hy[k]) / (hx[k + 1] - hx[k])
@@ -278,7 +281,8 @@ class EnvelopeModel:
         return self.value_many(X), self.gradient_many(X)
 
     def grid_envelope_values(self) -> np.ndarray:
-        """Envelope at every stored sample (d = 1) or grid node (d >= 2)."""
+        """Envelope at every row of the samples CSV: the hull samples (d = 1)
+        or ``grid_points`` (d >= 2)."""
         return self.value_many(self.sample_x[:, None] if self.dimension == 1 else self.grid_points)
 
     # -- Lipschitz-capped evaluation
@@ -453,7 +457,7 @@ def write_samples_csv(model: EnvelopeModel, path, lipschitz: Optional[float] = N
         g = model.sample_g
     else:
         X = model.grid_points
-        g = model.grid_g
+        g = model.generator.value_many(X)
     m_vals = minorant(jet, X)
     F = model.grid_envelope_values()
     cols = [X[:, k] for k in range(d)] + [g, m_vals, F]

@@ -41,6 +41,10 @@ Every tangent plane f_k + <G_k, x - p_k> and every distance in the package
 is formed in difference form by ``_planes`` and ``_pairwise_dist``, one
 axis at a time with no (n, n, d) temporary, so nothing depends on the
 origin: a plane is exactly f_k at p_k and a distance exactly 0 at p_k.
+Every kernel of queries against the n pieces runs on row blocks of
+``_blocks``, at most ``_BUDGET`` rows times pieces at a time.  A jet may
+not repeat a point exactly; close but distinct points are pairs like any
+other, and the verdict decides them.
 """
 
 from __future__ import annotations
@@ -69,6 +73,23 @@ __all__ = [
     "seminorm_relation_report",
     "feasibility_report",
 ]
+
+
+_BUDGET = 2 ** 18            # rows times columns of one block of a kernel
+
+
+def _blocks(fn, columns, *arrays):
+    """fn on blocks of at most _BUDGET // columns rows of the arrays, which
+    share their first axis, with the results (arrays, or tuples of arrays)
+    joined along it.  So each (rows, columns) temporary of fn stays within
+    the budget; fn must treat rows independently."""
+    size = max(1, _BUDGET // columns)
+    if len(arrays[0]) <= size:
+        return fn(*arrays)
+    parts = [fn(*(a[k:k + size] for a in arrays)) for k in range(0, len(arrays[0]), size)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _pairwise_dist(X, P):
@@ -139,11 +160,11 @@ class Jet:
             )
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
             raise ValueError("jet data must be finite")
-        dist = _pairwise_dist(pts, pts)
-        np.fill_diagonal(dist, np.inf)
-        if np.min(dist) <= 1e-12:
-            i, j = np.unravel_index(np.argmin(dist), dist.shape)
-            raise ValueError(f"points {i} and {j} coincide within 1e-12")
+        order = np.lexsort(pts.T[::-1])     # repeated rows end up next to each other
+        repeat = np.flatnonzero(np.all(pts[order[1:]] == pts[order[:-1]], axis=1))
+        if repeat.size:
+            i, j = sorted(order[repeat[0]:repeat[0] + 2].tolist())
+            raise ValueError(f"points {i} and {j} coincide")
         for name, arr in (("points", pts), ("values", vals), ("gradients", grads)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -157,7 +178,8 @@ class Jet:
         return self.points.shape[0]
 
     def diameter(self) -> float:
-        return float(np.max(_pairwise_dist(self.points, self.points)))
+        P = self.points
+        return float(np.max(_blocks(lambda X: np.max(_pairwise_dist(X, P), axis=1), len(P), P)))
 
     def subset(self, indices) -> "Jet":
         idx = np.asarray(indices, dtype=int)
@@ -481,7 +503,7 @@ class FeasibilityReport:
             "per_pair_M": [
                 {"y": i, "z": j, "M": _json_float(M)} for (i, j), M in self.per_pair_M
             ],
-            "lip_omega_G": self.lip_omega_G,
+            "lip_omega_G": _json_float(self.lip_omega_G),
             "L": self.L,
             "relation": {k: _json_float(v) for k, v in self.relation.items()},
         }

@@ -26,6 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .jet import _blocks
+
 __all__ = ["CertificationError", "convex_combination_min"]
 
 TOL = 1e-9                  # certified bracket width, relative to 1 + |g(x)|
@@ -33,8 +35,6 @@ TOL = 1e-9                  # certified bracket width, relative to 1 + |g(x)|
 # queries the first schedule leaves uncertified start again from the second
 _SCHEDULES = (((1e-2, 1e-4), 3), ((1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), 8))
 _LINE = 0.25 ** np.arange(11)    # backtracking step lengths, 1 down to 1e-6
-_ROWS = 20000               # KKT rows solved at once
-_BLOCK = 2 ** 18            # queries times pieces handled at once
 
 
 class CertificationError(RuntimeError):
@@ -45,10 +45,11 @@ def convex_combination_min(generator, X, L=None):
     """F(x) = conv(g)(x), or F_L(x) when L is given, and the maximizer s* at
     the rows of X (Q, d): arrays (Q,) and (Q, d)."""
     X = np.asarray(X, dtype=float).reshape(-1, generator.jet.dimension)
-    block = max(1, _BLOCK // generator.jet.size)      # bounds the (queries, pieces, d) arrays
-    if len(X) > block:
-        F, S = zip(*(convex_combination_min(generator, X[k:k + block], L) for k in range(0, len(X), block)))
-        return np.concatenate(F), np.concatenate(S)
+    return _blocks(lambda X: _min_block(generator, X, L), generator.jet.size, X)
+
+
+def _min_block(generator, X, L):
+    """``convex_combination_min`` on one block of queries."""
     if L is not None and L == 0:        # the dual feasible set is {0}
         if not generator._dual_feasible(np.zeros((1, X.shape[1])))[0]:
             raise CertificationError("the cap L = 0 lies outside the conjugate domain")
@@ -118,9 +119,7 @@ def _solve(gen, X, g, S, L, taus, steps):
                          for c in combinations(range(P + B), size) if c[0] < P])
         owner, pick = np.repeat(bad, len(sets)), np.tile(sets, (bad.size, 1))
         elem = np.where(pick >= 0, np.take_along_axis(ranked[owner], np.maximum(pick, 0), axis=1), -1)
-        out = [_certify(gen, X[owner[k:k + _ROWS]], S[owner[k:k + _ROWS]], L, spheres, elem[k:k + _ROWS])
-               for k in range(0, len(owner), _ROWS)]
-        Fb, Sb, wb = (np.concatenate([o[i] for o in out]) for i in range(3))
+        Fb, Sb, wb, _ = _blocks(lambda o, e: _certify(gen, X[o], S[o], L, spheres, e), n, owner, elem)
         best = np.full(Q, np.inf)
         np.minimum.at(best, owner, wb)
         win = np.flatnonzero(wb == best[owner])

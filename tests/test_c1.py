@@ -50,9 +50,17 @@ class TestDelta:
     def test_domain_and_feasibility_errors(self):
         with pytest.raises(ValueError):
             compute_delta(HALFSQ, 0.0)
+        with pytest.raises(ValueError):
+            delta_many(HALFSQ, [1.0, 0.0])
         bad = Jet([[0.0], [1.0]], [0.0, -1.0], [[0.0], [0.0]])
-        with pytest.raises(InfeasibleJetError):
-            compute_delta(bad, 1.0)
+        for evaluate in (lambda j: compute_delta(j, 1.0), lambda j: delta_many(j, [1.0]),
+                         lambda j: delta1_value(j, 1.0, 0.5)):
+            with pytest.raises(InfeasibleJetError, match="condition_C"):
+                evaluate(bad)
+        # all three need (C) only: a (CW1) failure still has a delta
+        cw1 = Jet([[0.0], [1.0]], [0.0, 0.0], [[0.0], [1.0]])
+        assert compute_delta(cw1, 1.0) == delta_many(cw1, [1.0])[0] == 1.0
+        assert np.isfinite(delta1_value(cw1, 1.0, 0.5))
 
     def test_matches_witness_grid(self, rng):
         """The pairwise reduction dominates a brute-force witness sweep."""

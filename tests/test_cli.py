@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convext
 from convext import c1, jet
 from convext.cli import EXIT_INTERNAL, main
+from convext.envelope import Generator
 from convext.extension import ExtensionConfig, build_extension
 from convext.fixtures import fixture_path, halfsq_jet, two_point_power_jet
 from convext.jet import Jet, feasibility_report
@@ -265,6 +271,15 @@ class TestOneVerdict:
         for argv in self._builds(path):
             assert "infeasible" not in self._run(capsys, argv)[2]
 
+    def test_points_far_below_1e_12_apart_are_a_pair(self, tmp_path, capsys):
+        path = tmp_path / "close.json"
+        path.write_text(json.dumps({"dimension": 1, "points": [[0.0], [1e-300]],
+                                    "values": [0.0, 0.0], "gradients": [[0.0], [1e10]]}))
+        for command in ("validate", "constants"):
+            code, out, _ = self._run(capsys, [command, str(path), "--modulus", "linear"])
+            # |G(y) - G(z)| / omega(1e-300) overflows, and no report says Infinity
+            assert code == 1 and "Infinity" not in out and json.loads(out)["lip_omega_G"] == "inf"
+
 
 @pytest.mark.parametrize("command, passes", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 2)])
 def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, command, passes):
@@ -281,8 +296,7 @@ def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, comma
 def test_pareto_fronts_per_command(halfsq_file, monkeypatch, capsys, command, fronts):
     calls = []
     original = jet._pareto_pairs
-    for module in (jet, c1):
-        monkeypatch.setattr(module, "_pareto_pairs", lambda C, S: calls.append(1) or original(C, S))
+    monkeypatch.setattr(jet, "_pareto_pairs", lambda C, S: calls.append(1) or original(C, S))
     argv = [command, halfsq_file] + (["--modulus", "linear"] if command != "c1" else [])
     main(argv + (["--samples", "100"] if command in ("extend", "c1") else []))
     assert len(calls) == fronts
@@ -389,3 +403,42 @@ class TestReport:
         out = capsys.readouterr().out
         assert "lipschitz_cap_attained" in out
         assert "result: PASS" in out
+
+
+class TestExtendMemory:
+    """extend without --out samples no grid, and its (rows, pieces) kernels run in blocks."""
+
+    def _jet_file(self, tmp_path, n, d, seed):
+        rng = np.random.default_rng(seed)
+        value, grad = random_convex_function(rng, d)
+        pts = rng.uniform(-1.0, 1.0, size=(n, d))
+        path = tmp_path / f"jet{d}.json"
+        path.write_text(json.dumps(Jet(pts, value(pts), grad(pts)).to_json()))
+        return str(path)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_of_a_large_3d_extend(self, tmp_path):
+        # at n = 2000 the dense 33^3 x n generator samples alone took 2.4 GB
+        path = self._jet_file(tmp_path, 2000, 3, 1)
+        src = str(Path(convext.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "convext.cli", "extend", path, "--modulus", "holder:0.5",
+                "--report", str(tmp_path / "report.json")]
+        with open(tmp_path / "stderr.txt", "wb") as err:
+            child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+            _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)     # reaped by wait4
+        assert child.returncode == 0, (tmp_path / "stderr.txt").read_text()
+        assert usage.ru_maxrss / 1024 < 600       # KiB to MiB
+
+    def test_2d_extend_samples_the_grid_only_for_the_csv(self, tmp_path, monkeypatch):
+        path = self._jet_file(tmp_path, 6, 2, 5)
+        rows = []
+        original = Generator.value_many
+        monkeypatch.setattr(Generator, "value_many", lambda self, X: rows.append(len(X)) or original(self, X))
+        argv = ["extend", path, "--modulus", "holder:0.5", "--resolution", "33", "--samples", "100",
+                "--report", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        assert 33 ** 2 not in rows
+        assert main(argv + ["--out", str(tmp_path / "samples.csv")]) == 0
+        assert 33 ** 2 in rows

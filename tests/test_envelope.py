@@ -378,7 +378,8 @@ class TestExposedNodes:
             model = build_envelope(Generator(jet, LinearModulus(), 1.0), [-2.0] * d, [2.0] * d, 33)
             assert np.all(model.generator._exposed(model.grid_points, 0.0)[0])
             idx = np.arange(0, len(model.grid_points), 97)
-            assert np.allclose(model.value_many(model.grid_points[idx]), model.grid_g[idx],
+            nodes = model.grid_points[idx]
+            assert np.allclose(model.value_many(nodes), model.generator.value_many(nodes),
                                rtol=0.0, atol=1e-12)
 
 
@@ -578,3 +579,57 @@ class TestDegenerateModuli:
         assert seminorm_A_extrinsic(affine, flat) == 0.0
         halfsq = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
         assert seminorm_A_extrinsic(halfsq, flat) == np.inf
+
+
+class TestRowBlocks:
+    """Every (queries, pieces) kernel runs in row blocks of ``jet._blocks``."""
+
+    BUDGET = 512
+
+    def _evaluations(self):
+        rng = np.random.default_rng(12)
+        jet2 = random_feasible_jet(rng, 2, 30)
+        m = HolderModulus(0.6)
+        gen2 = Generator(jet2, m, 1.5 * compute_A(jet2, m))
+        X2 = rng.uniform(-1.5, 1.5, size=(200, 2))
+        L = 0.8 * sup_norm_gradients(jet2)
+        jet1 = random_feasible_jet(rng, 1, 40)
+        model1 = build_envelope(Generator(jet1, m, 1.5 * compute_A(jet1, m)), [-4.0], [4.0], 401)
+        X1 = np.linspace(-4.0, 4.0, 300)[:, None]
+        return [
+            lambda: gen2.value_many(X2),
+            lambda: minorant(jet2, X2),
+            lambda: jet2.diameter(),
+            lambda: model1.gradient_many(X1),
+            lambda: convex_combination_min(gen2, X2),
+            lambda: convex_combination_min(gen2, X2, L),
+        ]
+
+    def test_small_budget_gives_the_same_bits(self, monkeypatch):
+        from convext import envelope, jet
+        evaluations = self._evaluations()
+        whole = [run() for run in evaluations]
+        sizes = []
+        pieces, planes, dist = Generator._pieces, envelope._planes, jet._pairwise_dist
+
+        def spy_pieces(self, X):
+            sizes.append(len(X) * self.jet.size)
+            return pieces(self, X)
+
+        def spy_planes(P, f, G, X):
+            sizes.append(len(X) * len(P))
+            return planes(P, f, G, X)
+
+        def spy_dist(X, P):
+            sizes.append(len(X) * len(P))
+            return dist(X, P)
+
+        monkeypatch.setattr(jet, "_BUDGET", self.BUDGET)
+        monkeypatch.setattr(Generator, "_pieces", spy_pieces)
+        monkeypatch.setattr(envelope, "_planes", spy_planes)
+        monkeypatch.setattr(jet, "_pairwise_dist", spy_dist)     # Jet.diameter
+        for run, expected in zip(evaluations, whole):
+            got = run()
+            pairs = zip(got, expected) if isinstance(got, tuple) else [(got, expected)]
+            assert all(np.array_equal(a, b) for a, b in pairs)
+        assert sizes and max(sizes) <= self.BUDGET

@@ -39,8 +39,15 @@ class TestJetType:
             jet.points[0, 0] = 3.0
 
     def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError):
-            Jet([[0.0], [1e-13]], [0.0, 0.0], [[0.0], [0.0]])
+        with pytest.raises(ValueError, match="points 0 and 2 coincide"):
+            Jet([[0.0, 1.0], [1e-13, 1.0], [0.0, 1.0]], [0.0, 0.0, 0.0], [[0.0, 0.0]] * 3)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-13])
+    def test_close_points_load_and_keep_their_constant(self, scale):
+        # x^2 / 2 has A = 1 for the linear modulus at every scale
+        x = np.array([0.0, 1.0, 3.0]) * scale
+        jet = Jet(x[:, None], x ** 2 / 2.0, x[:, None])
+        assert compute_A(jet, LinearModulus()) == pytest.approx(1.0, rel=1e-12)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
