@@ -89,14 +89,15 @@ class Generator:
 
     __call__ = value
 
-    def _conjugates(self, S, idx=None, full=True):
+    def _conjugates(self, S, idx=None, full=True, inside=False):
         """g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) for the pieces idx
         (Q, k) (default: all) at the rows of S, with y_k from ``_origin``; a
         bounded table continues past its ball.  With ``full``: (values, Z, U,
         tang, radial), where z_k = grad g_k*(s) = y_k + omega_inv(|s - G_k| /
         M) u_k, u_k is the unit vector of s - G_k (0 at G_k) and the Hessian of
         g_k* is tang (I - u u^T) + radial u u^T.  At radius 0 the pieces are
-        affine.
+        affine.  With ``inside`` instead: (values, the rows of S inside every
+        ball |s - G_k| <= radius of these pieces, to rounding).
         """
         jet, M = self.jet, self.M
         if idx is None:
@@ -104,11 +105,16 @@ class Generator:
         else:
             Y, G, f = self._Y[idx], jet.gradients[idx], jet.values[idx]
         V = S[:, None, :] - G
-        dist = np.sqrt(np.sum(V * V, axis=2))
+        dist = np.sum(V * V, axis=2)
+        if inside:
+            ball = np.all(dist <= (self.radius * (1.0 + 1e-12)) ** 2, axis=1)
+        dist = np.sqrt(dist)
         c = np.sum(S[:, None, :] * Y, axis=2) - f
         if self.radius > 0:
             phi_star, inv, slope = self.modulus._conjugate(dist / M)
             c = c + M * phi_star
+        if inside:
+            return c, ball
         if not full:
             return c
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -118,11 +124,6 @@ class Generator:
                 return c, np.broadcast_to(Y, U.shape), U, zero, zero
             tang = np.where(dist > 0, inv / dist, slope / M)
         return c, Y + inv[..., None] * U, U, tang, slope / M
-
-    def _dual_feasible(self, S) -> np.ndarray:
-        """Rows of S inside every ball |s - G_k| <= radius (to rounding)."""
-        V = S[:, None, :] - self.jet.gradients[None, :, :]
-        return np.all(np.sum(V * V, axis=2) <= (self.radius * (1.0 + 1e-12)) ** 2, axis=1)
 
     def _exposed(self, X, margin):
         """(mask, g, s) at the rows of X: g(x), the gradient s = grad g_i(x) of
@@ -143,10 +144,10 @@ class Generator:
         with np.errstate(divide="ignore", invalid="ignore"):
             lift = np.where(r > 0, M * self.modulus.omega(r) / r, 0.0)
         s = jet.gradients[active] + lift[:, None] * u
-        conj = self._conjugates(s, full=False)
+        conj, inside = self._conjugates(s, inside=True)
         conj[np.arange(len(X)), active] = -np.inf
         bound = np.einsum("ij,ij->i", s, X - self._origin) - g - margin * (1.0 + np.abs(g))
-        return (np.max(conj, axis=1) <= bound) & self._dual_feasible(s), g, s
+        return (np.max(conj, axis=1) <= bound) & inside, g, s
 
 
 def minorant(jet: Jet, X):

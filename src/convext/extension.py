@@ -93,7 +93,7 @@ class ExtensionConfig:
 class ExtensionModel:
     """A built convex extension: the envelope plus its resolved parameters."""
 
-    def __init__(self, jet, envelope, modulus, M, A, L, K):
+    def __init__(self, jet, envelope, modulus, M, A, L, K, tol=1e-9):
         self.jet = jet
         self.envelope = envelope
         self.modulus = modulus
@@ -101,6 +101,7 @@ class ExtensionModel:
         self.A = A
         self.L = L
         self.K = K
+        self.tol = tol      # the feasibility tolerance the jet was accepted at
 
     @property
     def dimension(self):
@@ -196,7 +197,7 @@ def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
     generator = Generator(jet, cfg.modulus, M)
     envelope = build_envelope(generator, lo, hi, resolution)
     envelope.lipschitz_cap = L
-    return ExtensionModel(jet, envelope, cfg.modulus, M, A, L, K)
+    return ExtensionModel(jet, envelope, cfg.modulus, M, A, L, K, cfg.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +332,10 @@ def verify_extension(
             empirical_A <= empirical_lip_grad * mult + slack_add,
         )
     )
-    checks.append(
-        BoundCheck(
-            "interpolation_error",
-            slack_add,
-            interp_err,
-            interp_err <= slack_add + 1e-12 * (1.0 + float(np.max(np.abs(model.jet.values)))),
-        )
-    )
+    # the verdict accepts a pair whose condition (C) residual dips to -tol (1 + |f(y)| + |f(z)|)
+    top = float(np.max(np.abs(model.jet.values)))
+    bound_interp = slack_add + model.tol * (1.0 + 2.0 * top) + 1e-12 * (1.0 + top)
+    checks.append(BoundCheck("interpolation_error", bound_interp, interp_err, interp_err <= bound_interp))
     checks.append(
         BoundCheck(
             "gradient_interpolation_error",

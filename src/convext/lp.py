@@ -8,7 +8,11 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 12 and 16).  Queries pass the screen ``Generator._exposed``, a smoothed
 Newton path (tau log sum_k exp(g_k*(s) / tau), penalized outside the cap and
 the balls), and Newton on the KKT system of active sets of at most d + 1
-pieces and spheres.  Each query is certified by the bracket
+pieces and spheres.  KKT Newton takes three steps on every row, then stops a
+row once its s-step fails to halve or falls to rounding: the row has
+converged or sits on a wrong active set, and its bracket tells which (a wrong
+set goes on to an exchange, then to every set of ranked elements).  Each
+query is certified by the bracket
 
     lower = <s, x> - max_k g_k*(s)    (s in every ball and the cap),
     upper = sum lam_k g_k(z_k + r) + sum_balls nu_j (<G_j, n_j> + R),
@@ -51,9 +55,10 @@ def convex_combination_min(generator, X, L=None):
 def _min_block(generator, X, L):
     """``convex_combination_min`` on one block of queries."""
     if L is not None and L == 0:        # the dual feasible set is {0}
-        if not generator._dual_feasible(np.zeros((1, X.shape[1])))[0]:
+        c, inside = generator._conjugates(np.zeros((1, X.shape[1])), inside=True)
+        if not inside[0]:
             raise CertificationError("the cap L = 0 lies outside the conjugate domain")
-        return -np.max(generator._conjugates(np.zeros_like(X), full=False), axis=1), np.zeros_like(X)
+        return np.full(len(X), -np.max(c)), np.zeros_like(X)
     done, g, s = generator._exposed(X, -TOL)
     if L is not None:
         done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
@@ -154,15 +159,17 @@ def _smoothed(gen, X, S, scale, spheres, taus, steps):
     the last tau."""
     weight = 1.0 + np.sum(X * X, axis=1)
 
-    def objective(S, c, X, tau, weight):
+    def objective(S, c, dist, X, tau, weight):
         top = np.max(c, axis=1)
         val = top + tau * np.log(np.sum(np.exp((c - top[:, None]) / tau[:, None]), axis=1))
-        val += 0.5 * weight / tau * np.sum(np.maximum(_normals(S, spheres[0])[1] - spheres[1], 0.0) ** 2, axis=1)
+        val += 0.5 * weight / tau * np.sum(np.maximum(dist - spheres[1], 0.0) ** 2, axis=1)
         return np.nan_to_num(val - np.einsum("ij,ij->i", S, X), nan=np.inf)
 
     for rel in taus:
         live = np.arange(len(X))
         for _ in range(steps):
+            if not live.size:
+                break
             s, x, tau, wt = S[live], X[live], rel * scale[live], weight[live]
             c, Z, U, tang, radial = gen._conjugates(s)
             w = np.exp((c - np.max(c, axis=1, keepdims=True)) / tau[:, None])
@@ -174,13 +181,15 @@ def _smoothed(gen, X, S, scale, spheres, taus, steps):
             viol = np.maximum(dist - spheres[1], 0.0)
             k, bend = (wt / tau)[:, None] * (viol > 0), viol / np.maximum(dist, 1e-300)
             grad = zbar - x + np.einsum("qj,qjd->qd", k * viol, N)
-            H = _hessian(w, tang, radial, U) + _hessian(k, bend, 1.0, N) \
-                + np.einsum("qk,qki,qkj->qij", w / tau[:, None], Zc, Zc)
+            H = _hessian(w, tang, radial, U) + _hessian(k, bend, 1.0, N) + _gram(w / tau[:, None], Zc)
             step = -np.linalg.solve(H, grad[..., None])[..., 0]
-            now, todo = objective(s, c, x, tau, wt), np.arange(len(s))
+            now, todo = objective(s, c, dist, x, tau, wt), np.arange(len(s))
             for a in _LINE:     # each row takes the first length that lowers its objective
+                if not todo.size:
+                    break
                 trial = s[todo] + a * step[todo]
-                ok = objective(trial, gen._conjugates(trial, full=False), x[todo], tau[todo], wt[todo]) <= now[todo]
+                ok = objective(trial, gen._conjugates(trial, full=False), _normals(trial, spheres[0])[1],
+                               x[todo], tau[todo], wt[todo]) <= now[todo]
                 s[todo[ok]], todo = trial[ok], todo[~ok]
             S[live] = s
             live = live[np.max(np.abs(step), axis=1) > 1e-6 * (1.0 + np.max(np.abs(s), axis=1))]
@@ -190,8 +199,13 @@ def _smoothed(gen, X, S, scale, spheres, taus, steps):
 
 def _hessian(w, a, b, U):
     """sum_k w_k (a_k (I - u_k u_k^T) + b_k u_k u_k^T), slightly regularized."""
-    H = np.sum(w * a, axis=1)[:, None, None] * np.eye(U.shape[2]) + np.einsum("qk,qki,qkj->qij", w * (b - a), U, U)
+    H = np.sum(w * a, axis=1)[:, None, None] * np.eye(U.shape[2]) + _gram(w * (b - a), U)
     return H + (1e-12 * np.trace(H, axis1=1, axis2=2) + 1e-300)[:, None, None] * np.eye(U.shape[2])
+
+
+def _gram(w, U):
+    """sum_k w_k u_k u_k^T at each row: (Q, d, d) from w (Q, k) and U (Q, k, d)."""
+    return np.matmul(np.swapaxes(U * w[..., None], 1, 2), U)
 
 
 def _certify(gen, X, S, L, spheres, elem, mult=None):
@@ -205,8 +219,8 @@ def _certify(gen, X, S, L, spheres, elem, mult=None):
     t = np.max(np.where(is_p, gen._conjugates(S, pidx, full=False), -np.inf), axis=1)
     mult = is_p / np.sum(is_p, axis=1, keepdims=True) if mult is None else mult.copy()
     S = S.copy()
-    live = np.arange(len(X))
-    for _ in range(40):
+    live, last = np.arange(len(X)), None
+    for it in range(40):
         # sum lam_k z_k(s) + sum nu_j n_j(s) = x, sum lam = 1, g_k*(s) = t, |s - c_j| = rho_j
         s, p, q, lm = S[live], is_p[live], is_s[live], mult[live]
         c, Z, U, tang, radial = gen._conjugates(s, pidx[live])
@@ -231,8 +245,11 @@ def _certify(gen, X, S, L, spheres, elem, mult=None):
         S[live] += step[:, :d]
         t[live] += step[:, d]
         mult[live] += step[:, d + 1:]
-        moved = np.max(np.abs(step[:, :d]), axis=1) > 1e-15 * (1.0 + np.max(np.abs(s), axis=1))
-        live = live[sane & moved & np.all(np.isfinite(step), axis=1)]
+        size = np.max(np.abs(step[:, :d]), axis=1)
+        keep = sane & (size > 1e-15 * (1.0 + np.max(np.abs(s), axis=1))) & np.all(np.isfinite(step), axis=1)
+        if it >= 3:     # after three steps, a row leaves once its s-step fails to halve
+            keep &= size <= 0.5 * last
+        live, last = live[keep], size[keep]
         if live.size == 0:
             break
     return (*_bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult), mult)
@@ -244,8 +261,8 @@ def _bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult):
     if L is not None:
         with np.errstate(divide="ignore", invalid="ignore"):
             S = S * np.minimum(1.0, L / np.sqrt(np.sum(S * S, axis=1)))[:, None]
-    lower = np.einsum("ij,ij->i", S, X) - np.max(gen._conjugates(S, full=False), axis=1)
-    lower = np.where(gen._dual_feasible(S), lower, -np.inf)
+    c, inside = gen._conjugates(S, inside=True)
+    lower = np.where(inside, np.einsum("ij,ij->i", S, X) - np.max(c, axis=1), -np.inf)
     lam = np.where(is_p, np.maximum(mult, 0.0), 0.0)
     total = np.sum(lam, axis=1)
     lam /= np.maximum(total, 1e-300)[:, None]

@@ -486,6 +486,76 @@ class TestConjugateSolve:
             assert np.all(F >= hull - 1e-4)
 
 
+class TestSolveWork:
+    """The certified solve spends no work on rows that are done."""
+
+    def _case(self):
+        # a 4-point 2-D jet capped at sup|G| on the 65^2 grid of [-1, 1]^2
+        m = HolderModulus(0.75)
+        jet = random_feasible_jet(np.random.default_rng(13), 2, 4)
+        return Generator(jet, m, compute_A(jet, m)), _grid(65, 2), sup_norm_gradients(jet)
+
+    def test_no_conjugates_on_zero_rows(self, monkeypatch):
+        gen, X, L = self._case()
+        rows, conjugates = [], Generator._conjugates
+
+        def spy(self, S, *args, **kwargs):
+            rows.append(len(S))
+            return conjugates(self, S, *args, **kwargs)
+
+        monkeypatch.setattr(Generator, "_conjugates", spy)
+        convex_combination_min(gen, X, L)
+        assert rows and min(rows) > 0
+
+    def test_kkt_newton_stops_when_it_stops_contracting(self, monkeypatch):
+        gen, X, L = self._case()
+        batches, certify, solve = [], lp._certify, np.linalg.solve
+
+        def spy_certify(*args, **kwargs):
+            batches.append(0)
+            try:
+                return certify(*args, **kwargs)
+            finally:
+                batches.append(None)
+
+        def spy_solve(a, b):
+            if batches and batches[-1] is not None:
+                batches[-1] += 1
+            return solve(a, b)
+
+        monkeypatch.setattr(lp, "_certify", spy_certify)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        convex_combination_min(gen, X, L)
+        counts = [b for b in batches if b is not None]
+        assert counts and max(counts) <= 12
+
+    def test_ball_mask_is_the_squared_distance_rule(self, rng):
+        m = random_concave_table(rng, coercive=False)
+        jet = normalized_jet(rng, 2, 5, m, spread=0.8)
+        gen = Generator(jet, m, 1.3)
+        R = gen.radius * (1.0 + 1e-12)
+        assert np.isfinite(R)
+        G = jet.gradients
+        u = rng.normal(size=(600, 2))
+        u /= np.sqrt(np.sum(u * u, axis=1, keepdims=True))
+        k = rng.integers(0, jet.size, size=600)
+        edge = G[k] + R * u
+        S = np.vstack([rng.uniform(G.min(axis=0) - R, G.max(axis=0) + R, size=(600, 2)),
+                       edge, np.nextafter(edge, edge + u), np.nextafter(edge, edge - u)])
+
+        def old(S, G):
+            V = S[:, None, :] - G[None, :, :]
+            return np.all(np.sum(V * V, axis=2) <= R ** 2, axis=1)
+
+        every = gen._conjugates(S, inside=True)[1]
+        assert np.array_equal(every, old(S, G)) and 0 < np.count_nonzero(every) < len(S)
+        # one ball per row: the rows on and next to its sphere fall on both sides
+        K = np.concatenate([rng.integers(0, jet.size, size=600), k, k, k])
+        own = gen._conjugates(S, K[:, None], inside=True)[1]
+        assert np.array_equal(own, [old(s[None], G[j][None])[0] for s, j in zip(S, K)])
+        assert 0 < np.count_nonzero(own[600:]) < 1800
+
+
 class TestFailureContract:
     def test_zero_M_with_unequal_gradients_is_rejected(self, rng):
         jet = normalized_jet(rng, 2, 4, LinearModulus(), spread=0.8)
