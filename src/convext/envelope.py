@@ -126,8 +126,8 @@ class Generator:
         return c, Y + inv[..., None] * U, U, tang, slope / M
 
     def _exposed(self, X, margin):
-        """(mask, g, s) at the rows of X: g(x), the gradient s = grad g_i(x) of
-        the active piece i, and where its tangent plane lies below g.
+        """(mask, g, s, i) at the rows of X: g(x), the gradient s = grad g_i(x)
+        of the active piece i, and where its tangent plane lies below g.
 
         That holds when s lies in every ball and each other piece has
         g_k*(s) <= <s, x> - g(x) - margin (1 + |g(x)|), with x and the y_k
@@ -147,7 +147,7 @@ class Generator:
         conj, inside = self._conjugates(s, inside=True)
         conj[np.arange(len(X)), active] = -np.inf
         bound = np.einsum("ij,ij->i", s, X - self._origin) - g - margin * (1.0 + np.abs(g))
-        return (np.max(conj, axis=1) <= bound) & inside, g, s
+        return (np.max(conj, axis=1) <= bound) & inside, g, s, active
 
 
 def minorant(jet: Jet, X):
@@ -172,7 +172,7 @@ def _as_points(X, d):
 def _lower_hull(xs, ys):
     """Lower convex hull of a planar graph sorted by x; slopes end up increasing."""
     hx, hy = [], []
-    for x, y in zip(xs, ys):
+    for x, y in zip(xs.tolist(), ys.tolist()):      # Python floats loop faster than numpy scalars
         while len(hx) >= 2 and (
             (hy[-1] - hy[-2]) * (x - hx[-1]) >= (y - hy[-1]) * (hx[-1] - hx[-2])
         ):
@@ -267,7 +267,7 @@ class EnvelopeModel:
             return convex_combination_min(self.generator, X)[1]
         self._require_inside(X)
         gen = self.generator
-        exposed, _, s = _blocks(lambda X: gen._exposed(X, -TOL), gen.jet.size, X)
+        exposed, _, s, _ = _blocks(lambda X: gen._exposed(X, -TOL), gen.jet.size, X)
         hx, hy = self.hull_x, self.hull_y
         k = np.clip(np.searchsorted(hx, X[:, 0], side="right") - 1, 0, len(hx) - 2)
         slope = (hy[k + 1] - hy[k]) / (hx[k + 1] - hx[k])
@@ -423,20 +423,23 @@ def brute_force_envelope(generator: Generator, x, budget: int, rng, lo=None, hi=
             best = min(best, float(np.min(vals)))
         return best
 
-    # d == 2: batched 3x3 solves for barycentric weights
+    # d == 2: barycentric weights in closed form, as ratios of signed areas
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
     chunk = 20000
     done = 0
     while done < budget:
         k = min(chunk, budget - done)
         done += k
         tri = rng.uniform(lo, hi, size=(k, 3, 2))
-        A = np.concatenate([np.swapaxes(tri, 1, 2), np.ones((k, 1, 3))], axis=1)
-        b = np.tile(np.concatenate([x, [1.0]]), (k, 1))
-        dets = np.abs(np.linalg.det(A))
-        good = dets > 1e-12
+        det = cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        good = np.abs(det) > 1e-12
         if not np.any(good):
             continue
-        lam = np.linalg.solve(A[good], b[good][..., None])[..., 0]
+        V = tri[good] - x             # the vertices seen from x
+        lam = np.stack([cross(V[:, 1], V[:, 2]), cross(V[:, 2], V[:, 0]), cross(V[:, 0], V[:, 1])],
+                       axis=1) / det[good, None]
         inside = np.all(lam >= -1e-12, axis=1)
         if not np.any(inside):
             continue

@@ -351,7 +351,7 @@ def verify_extension(
         # over |s| <= L (d >= 2): L-Lipschitz either way
         xs = _sample_interior(model, rng, samples, pad=0.0)
         ys = _sample_interior(model, rng, samples, pad=0.0)
-        FLx, FLy = (model.envelope.lipschitz_values_grid(p, L) for p in (xs, ys))
+        FLx, FLy = np.split(model.envelope.lipschitz_values_grid(np.vstack([xs, ys]), L), 2)
         d = np.sqrt(np.sum((xs - ys) ** 2, axis=1))
         ok = d > 1e-12
         ratios = np.abs(FLx[ok] - FLy[ok]) / d[ok]

@@ -5,14 +5,24 @@ Each piece g_k of the generator has the conjugate g_k*(s) = <s, y_k> - f_k
 x, y_k and z_k below are measured from the jet's centroid.
 So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 |s| <= L, and the maximizer s* is the gradient (Rockafellar, Convex Analysis,
-12 and 16).  Queries pass the screen ``Generator._exposed``, a smoothed
-Newton path (tau log sum_k exp(g_k*(s) / tau), penalized outside the cap and
-the balls), and Newton on the KKT system of active sets of at most d + 1
-pieces and spheres.  KKT Newton takes three steps on every row, then stops a
-row once its s-step fails to halve or falls to rounding: the row has
-converged or sits on a wrong active set, and its bracket tells which (a wrong
-set goes on to an exchange, then to every set of ranked elements).  Each
-query is certified by the bracket
+12 and 16).  Each query goes through these stages until its bracket closes:
+
+1. the screen ``Generator._exposed``, which also gives the active piece i
+   of g at x and its gradient s0 (projected onto the cap when |s0| > L);
+2. Newton on the KKT system of one ranked set at s0: {the top piece by
+   g_k*(s0), the cap} where the cap binds, else {the top piece, i} (i is
+   then the second piece when it is the top); capped rows left open try
+   {both pieces, the cap};
+3. a smoothed Newton path (tau log sum_k exp(g_k*(s) / tau), penalized
+   outside the cap and the balls), then KKT Newton on active sets of at
+   most d + 1 pieces and spheres, an exchange and every set of ranked
+   elements; once per schedule.
+
+A wrong guess in step 2 costs time, not soundness: the bracket decides.
+KKT Newton takes three steps on every row, then stops a row once its s-step
+fails to halve or falls to rounding: the row has converged or sits on a
+wrong active set, and its bracket tells which.  Each query is certified by
+the bracket
 
     lower = <s, x> - max_k g_k*(s)    (s in every ball and the cap),
     upper = sum lam_k g_k(z_k + r) + sum_balls nu_j (<G_j, n_j> + R),
@@ -59,21 +69,56 @@ def _min_block(generator, X, L):
         if not inside[0]:
             raise CertificationError("the cap L = 0 lies outside the conjugate domain")
         return np.full(len(X), -np.max(c)), np.zeros_like(X)
-    done, g, s = generator._exposed(X, -TOL)
+    done, g, s, active = generator._exposed(X, -TOL)
     if L is not None:
         done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
     F, S, width = g.copy(), s.copy(), np.zeros(len(X))
     Xc = X - generator._origin          # the solve works from the jet's centroid
     rest = np.flatnonzero(~done)
-    for taus, steps in _SCHEDULES:
+    for schedule in (None,) + _SCHEDULES:     # the ranked first sets, then the smoothed starts
         if rest.size:
-            F[rest], S[rest], width[rest] = _solve(generator, Xc[rest], g[rest], s[rest], L, taus, steps)
+            args = (generator, Xc[rest], g[rest], s[rest], L)
+            out = _ranked(*args, active[rest]) if schedule is None else _solve(*args, *schedule)
+            F[rest], S[rest], width[rest] = out
             rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
     if rest.size:
         k = rest[np.argmax(width[rest] / (1.0 + np.abs(g[rest])))]
         raise CertificationError(f"{rest.size} of {len(X)} queries uncertified; the widest "
                                  f"bracket is {width[k]:.3g} at x = {X[k].tolist()}")
     return F, S
+
+
+def _ranked(gen, X, g, S, L, active):
+    """KKT Newton on one set ranked at the screen's point (stage 2 of the
+    module docstring): (F, s, width).  ``active`` is the screen's piece."""
+    (Q, d), n = X.shape, gen.jet.size
+    spheres, bind = _spheres(gen, L), np.zeros(Q, dtype=bool)
+    if L is not None:
+        bind = np.sqrt(np.sum(S * S, axis=1)) > L
+        S = _onto_cap(S, L)
+    order = _ranking(gen, S)
+    top = order[:, 0]
+    other = np.where(active != top, active, order[:, 1] if n > 1 else -1)
+    empty = np.full((Q, d - 1), -1)
+    # element n is the first sphere: the cap, when there is one
+    F, Sout, width, _ = _certify(gen, X, S, L, spheres, np.column_stack([top, np.where(bind, n, other), empty]))
+    if L is not None and d > 1:     # capped rows left open try {top, other, cap}
+        redo = np.flatnonzero(~(width <= TOL * (1.0 + np.abs(g))))
+        if redo.size:
+            elem = np.column_stack([top, other, np.full(Q, n), empty[:, 1:]])[redo]
+            F[redo], Sout[redo], width[redo], _ = _certify(gen, X[redo], S[redo], L, spheres, elem)
+    return F, Sout, width
+
+
+def _onto_cap(S, L):
+    """The rows of S projected onto the cap |s| <= L."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return S * np.minimum(1.0, L / np.sqrt(np.sum(S * S, axis=1)))[:, None]
+
+
+def _ranking(gen, S):
+    """The pieces in decreasing order of g_k*(s) at each row of S."""
+    return np.argsort(-gen._conjugates(S, full=False), axis=1, kind="stable")
 
 
 def _solve(gen, X, g, S, L, taus, steps):
@@ -259,8 +304,7 @@ def _bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult):
     """(upper, s, upper - lower) of each row's certificate bracket."""
     jet = gen.jet
     if L is not None:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            S = S * np.minimum(1.0, L / np.sqrt(np.sum(S * S, axis=1)))[:, None]
+        S = _onto_cap(S, L)
     c, inside = gen._conjugates(S, inside=True)
     lower = np.where(inside, np.einsum("ij,ij->i", S, X) - np.max(c, axis=1), -np.inf)
     lam = np.where(is_p, np.maximum(mult, 0.0), 0.0)

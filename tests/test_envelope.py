@@ -338,7 +338,7 @@ class TestExposedNodes:
                 for M in (1.0, 1.5):        # A = 1 after normalization
                     gen = Generator(jet, m, M)
                     nodes = rng.uniform(-3.0, 3.0, size=(300, d))
-                    mask, g, s = gen._exposed(nodes, 0.0)
+                    mask, g, s, _ = gen._exposed(nodes, 0.0)
                     cleared += np.count_nonzero(mask)
                     F, S = convex_combination_min(gen, nodes[mask])
                     assert np.array_equal(F, g[mask]) and np.array_equal(S, s[mask])
@@ -359,7 +359,7 @@ class TestExposedNodes:
         jet = Jet(pts, value(pts), grad(pts))
         m = LinearModulus()
         A, _ = seminorm_A_intrinsic(jet, m)
-        mask, g, s = Generator(jet, m, 1.5 * A)._exposed(pts, 0.0)
+        mask, g, s, _ = Generator(jet, m, 1.5 * A)._exposed(pts, 0.0)
         assert np.all(mask)
         assert np.array_equal(g, jet.values) and np.array_equal(s, jet.gradients)
 
@@ -529,6 +529,20 @@ class TestSolveWork:
         counts = [b for b in batches if b is not None]
         assert counts and max(counts) <= 12
 
+    def test_ranked_sets_spare_the_smoothed_start(self, monkeypatch):
+        gen, X, L = self._case()
+        done, _, s, _ = gen._exposed(X, -lp.TOL)
+        unscreened = np.count_nonzero(~(done & (np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12))))
+        rows, smoothed = [], lp._smoothed
+
+        def spy(gen, X, *args):
+            rows.append(len(X))
+            return smoothed(gen, X, *args)
+
+        monkeypatch.setattr(lp, "_smoothed", spy)
+        convex_combination_min(gen, X, L)
+        assert unscreened > 500 and sum(rows) < 0.15 * unscreened
+
     def test_ball_mask_is_the_squared_distance_rule(self, rng):
         m = random_concave_table(rng, coercive=False)
         jet = normalized_jet(rng, 2, 5, m, spread=0.8)
@@ -554,6 +568,60 @@ class TestSolveWork:
         own = gen._conjugates(S, K[:, None], inside=True)[1]
         assert np.array_equal(own, [old(s[None], G[j][None])[0] for s, j in zip(S, K)])
         assert 0 < np.count_nonzero(own[600:]) < 1800
+
+
+def _smoothed_path(gen, X, L):
+    """F at the rows of X from the screen and the smoothed starts alone."""
+    done, g, s, _ = gen._exposed(X, -lp.TOL)
+    if L is not None:
+        done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
+    F, width, rest = g.copy(), np.zeros(len(X)), np.flatnonzero(~done)
+    for taus, steps in lp._SCHEDULES:
+        if rest.size:
+            F[rest], _, width[rest] = lp._solve(gen, X[rest] - gen._origin, g[rest], s[rest], L, taus, steps)
+            rest = rest[~(width[rest] <= lp.TOL * (1.0 + np.abs(g[rest])))]
+    assert rest.size == 0
+    return F, g, ~done
+
+
+class TestRankedStart:
+    """The first active sets, ranked at the screen's point, are a guess: a
+    wrong one costs time and never changes a certified value."""
+
+    def _cases(self, rng):
+        for d in (2, 3):
+            for kind in ("linear", "holder", "bounded"):
+                m = {"linear": LinearModulus(), "holder": HolderModulus(float(rng.uniform(0.4, 0.9))),
+                     "bounded": random_concave_table(rng, coercive=False)}[kind]
+                for n in (1, 5):
+                    if n == 1:
+                        jet, M = random_feasible_jet(rng, d, 1, spread=0.8), 1.0
+                    else:
+                        jet, M = normalized_jet(rng, d, n, m, spread=0.8), 1.3
+                    gen = Generator(jet, m, M)
+                    top, low = sup_norm_gradients(jet), np.min(np.sqrt(np.sum(jet.gradients ** 2, axis=1)))
+                    X = rng.uniform(-3.0, 3.0, size=(300, d))
+                    # below sup|G| the cap still holds a G_k, which lies in every ball
+                    for L in (None, top, max(0.6 * top, low)):
+                        yield gen, X, L
+
+    def test_agrees_with_the_smoothed_path(self, rng):
+        unscreened = 0
+        for gen, X, L in self._cases(rng):
+            F = convex_combination_min(gen, X, L)[0]
+            ref, g, rest = _smoothed_path(gen, X, L)
+            unscreened += np.count_nonzero(rest)
+            assert np.all(np.abs(F - ref) <= lp.TOL * (1.0 + np.abs(g)))
+        assert unscreened > 1000
+
+    def test_reversed_ranking_still_certifies(self, rng, monkeypatch):
+        cases = list(self._cases(rng))
+        expected = [convex_combination_min(gen, X, L)[0] for gen, X, L in cases]
+        ranking = lp._ranking
+        monkeypatch.setattr(lp, "_ranking", lambda gen, S: ranking(gen, S)[:, ::-1])
+        for (gen, X, L), F in zip(cases, expected):
+            g = gen.value_many(X)
+            assert np.all(np.abs(convex_combination_min(gen, X, L)[0] - F) <= lp.TOL * (1.0 + np.abs(g)))
 
 
 class TestFailureContract:
