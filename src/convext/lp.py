@@ -9,19 +9,20 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 
 1. the screen ``Generator._exposed``, which also gives the active piece i
    of g at x and its gradient s0 (projected onto the cap when |s0| > L);
-2. Newton on the KKT system of one ranked set at s0: {the top piece by
-   g_k*(s0), the cap} where the cap binds, else {the top piece, i} (i is
-   then the second piece when it is the top); capped rows left open try
-   {both pieces, the cap};
+2. one ranked set at s0, with k the top piece by g_k*(s0): where the cap
+   binds, Riemannian Newton for max <s, x> - g_k*(s) on the sphere |s| = L,
+   whose step is closed form (``_on_cap``); else Newton on the KKT system
+   of {k, i} (i is then the second piece when it is k); capped rows left
+   open try the KKT system of {k, i, the cap};
 3. a smoothed Newton path (tau log sum_k exp(g_k*(s) / tau), penalized
    outside the cap and the balls), then KKT Newton on active sets of at
    most d + 1 pieces and spheres, an exchange and every set of ranked
    elements; once per schedule.
 
 A wrong guess in step 2 costs time, not soundness: the bracket decides.
-KKT Newton takes three steps on every row, then stops a row once its s-step
-fails to halve or falls to rounding: the row has converged or sits on a
-wrong active set, and its bracket tells which.  Each query is certified by
+Both Newton methods take three steps on every row, then stop a row once its
+s-step fails to halve or falls to rounding: the row has converged or sits
+on a wrong active set, and its bracket tells which.  Each query is certified by
 the bracket
 
     lower = <s, x> - max_k g_k*(s)    (s in every ball and the cap),
@@ -89,7 +90,7 @@ def _min_block(generator, X, L):
 
 
 def _ranked(gen, X, g, S, L, active):
-    """KKT Newton on one set ranked at the screen's point (stage 2 of the
+    """Newton on one set ranked at the screen's point (stage 2 of the
     module docstring): (F, s, width).  ``active`` is the screen's piece."""
     (Q, d), n = X.shape, gen.jet.size
     spheres, bind = _spheres(gen, L), np.zeros(Q, dtype=bool)
@@ -100,14 +101,63 @@ def _ranked(gen, X, g, S, L, active):
     top = order[:, 0]
     other = np.where(active != top, active, order[:, 1] if n > 1 else -1)
     empty = np.full((Q, d - 1), -1)
-    # element n is the first sphere: the cap, when there is one
-    F, Sout, width, _ = _certify(gen, X, S, L, spheres, np.column_stack([top, np.where(bind, n, other), empty]))
-    if L is not None and d > 1:     # capped rows left open try {top, other, cap}
+    F, Sout, width = np.empty(Q), np.empty_like(S), np.empty(Q)
+    on, off = np.flatnonzero(bind), np.flatnonzero(~bind)
+    if on.size:
+        F[on], Sout[on], width[on] = _on_cap(gen, X[on], S[on], L, spheres, top[on])
+    if off.size:
+        elem = np.column_stack([top, other, empty])[off]
+        F[off], Sout[off], width[off], _ = _certify(gen, X[off], S[off], L, spheres, elem)
+    if L is not None and d > 1:     # capped rows left open try {top, other, cap}; element n is the cap
         redo = np.flatnonzero(~(width <= TOL * (1.0 + np.abs(g))))
         if redo.size:
             elem = np.column_stack([top, other, np.full(Q, n), empty[:, 1:]])[redo]
             F[redo], Sout[redo], width[redo], _ = _certify(gen, X[redo], S[redo], L, spheres, elem)
     return F, Sout, width
+
+
+def _on_cap(gen, X, S, L, spheres, k):
+    """Riemannian Newton for max <s, x> - g_k*(s) on the sphere |s| = L, one
+    piece k per row from s = S, then the bracket with weight 1 on k: (F, s,
+    width).  See Absil, Mahony and Sepulchre, Optimization Algorithms on
+    Matrix Manifolds (2008), ch. 6."""
+    S, k = S.copy(), k[:, None]
+    live, last = np.arange(len(X)), None
+    for it in range(40):
+        s = S[live]
+        _, Z, U, a, b = gen._conjugates(s, k[live])
+        u, sh = U[:, 0], s / L
+        r = X[live] - Z[:, 0]
+        nu = np.sum(sh * r, axis=1)
+        # the Riemannian Hessian is P B on the tangent space, P = I - s s^T / L^2
+        # and B = alpha I + beta u u^T: solve B step = P r + mu s / L by
+        # Sherman-Morrison, with mu making the step tangent
+        alpha, beta = a[:, 0] + nu / L, b[:, 0] - a[:, 0]
+        ok = (alpha > 0) & (alpha + beta > 0)       # else the set is wrong
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = beta / (alpha * (alpha + beta))
+            Pr = r - nu[:, None] * sh
+            p, q = (v / alpha[:, None] - (w * np.sum(u * v, axis=1))[:, None] * u for v in (Pr, sh))
+            step = p - (np.sum(sh * p, axis=1) / np.sum(sh * q, axis=1))[:, None] * q
+            new = s + step
+            new *= (L / np.sqrt(np.sum(new * new, axis=1)))[:, None]
+        keep, size = _moving(it, new - s, s, last)
+        ok &= np.all(np.isfinite(new), axis=1)
+        S[live[ok]] = new[ok]
+        live, last = live[ok & keep], size[ok & keep]
+        if live.size == 0:
+            break
+    return _bracket(gen, X, S, L, spheres, np.ones(k.shape, bool), k, np.full(k.shape, -1), np.ones(k.shape))
+
+
+def _moving(it, step, s, last):
+    """(keep, size): a row takes another step while its s-step is finite and
+    above rounding and, after three steps, at least halves the last one."""
+    size = np.max(np.abs(step), axis=1)
+    keep = (size > 1e-15 * (1.0 + np.max(np.abs(s), axis=1))) & np.all(np.isfinite(step), axis=1)
+    if it >= 3:
+        keep &= size <= 0.5 * last
+    return keep, size
 
 
 def _onto_cap(S, L):
@@ -290,10 +340,8 @@ def _certify(gen, X, S, L, spheres, elem, mult=None):
         S[live] += step[:, :d]
         t[live] += step[:, d]
         mult[live] += step[:, d + 1:]
-        size = np.max(np.abs(step[:, :d]), axis=1)
-        keep = sane & (size > 1e-15 * (1.0 + np.max(np.abs(s), axis=1))) & np.all(np.isfinite(step), axis=1)
-        if it >= 3:     # after three steps, a row leaves once its s-step fails to halve
-            keep &= size <= 0.5 * last
+        keep, size = _moving(it, step[:, :d], s, last)
+        keep &= sane & np.all(np.isfinite(step), axis=1)
         live, last = live[keep], size[keep]
         if live.size == 0:
             break

@@ -543,6 +543,54 @@ class TestSolveWork:
         convex_combination_min(gen, X, L)
         assert unscreened > 500 and sum(rows) < 0.15 * unscreened
 
+    def test_cap_bound_rows_build_no_kkt_system(self, monkeypatch):
+        gen, X, L = self._case()
+        n, calls, sets = gen.jet.size, [], []       # calls: [rows, steps, linear solves] per sphere stage
+        in_stage, in_ranked = [], []
+        ranked, on_cap, certify, moving, solve = lp._ranked, lp._on_cap, lp._certify, lp._moving, np.linalg.solve
+
+        def spy_ranked(*args):
+            in_ranked.append(True)
+            try:
+                return ranked(*args)
+            finally:
+                in_ranked.pop()
+
+        def spy_on_cap(gen, X, *args):
+            calls.append([len(X), 0, 0])
+            in_stage.append(True)
+            try:
+                return on_cap(gen, X, *args)
+            finally:
+                in_stage.pop()
+
+        def spy_certify(gen, X, S, L, spheres, elem, *args):
+            if in_ranked:
+                sets.append(elem)
+            return certify(gen, X, S, L, spheres, elem, *args)
+
+        def spy_moving(*args):
+            if in_stage:
+                calls[-1][1] += 1
+            return moving(*args)
+
+        def spy_solve(a, b):
+            if in_stage:
+                calls[-1][2] += 1
+            return solve(a, b)
+
+        for name, spy in (("_ranked", spy_ranked), ("_on_cap", spy_on_cap), ("_certify", spy_certify),
+                          ("_moving", spy_moving)):
+            monkeypatch.setattr(lp, name, spy)
+        monkeypatch.setattr(np.linalg, "solve", spy_solve)
+        convex_combination_min(gen, X, L)
+        assert sum(c[0] for c in calls) > 50 and sets
+        assert max(c[1] for c in calls) <= 12 and sum(c[2] for c in calls) == 0
+        # stage 2 sends KKT Newton no set of the cap and one piece
+        for elem in sets:
+            pieces = np.sum((elem >= 0) & (elem < n), axis=1)
+            assert not np.any(np.any(elem == n, axis=1) & (pieces < 2))
+
     def test_ball_mask_is_the_squared_distance_rule(self, rng):
         m = random_concave_table(rng, coercive=False)
         jet = normalized_jet(rng, 2, 5, m, spread=0.8)
@@ -622,6 +670,57 @@ class TestRankedStart:
         for (gen, X, L), F in zip(cases, expected):
             g = gen.value_many(X)
             assert np.all(np.abs(convex_combination_min(gen, X, L)[0] - F) <= lp.TOL * (1.0 + np.abs(g)))
+
+    def test_sphere_newton_matches_kkt_newton_on_the_cap(self, rng, monkeypatch):
+        rows, steps, moving = 0, [], lp._moving
+        monkeypatch.setattr(lp, "_moving", lambda *args: steps.append(1) or moving(*args))
+        for gen, X, L in self._cases(rng):
+            if L is None:
+                continue
+            (Q, d), n = X.shape, gen.jet.size
+            _, g, s, _ = gen._exposed(X, -lp.TOL)
+            bind = np.flatnonzero(np.sqrt(np.sum(s * s, axis=1)) > L)
+            S, Xc, tol = lp._onto_cap(s[bind], L), X[bind] - gen._origin, lp.TOL * (1.0 + np.abs(g[bind]))
+            top, spheres = lp._ranking(gen, S)[:, 0], lp._spheres(gen, L)
+            steps.clear()
+            F, _, width = lp._on_cap(gen, Xc, S, L, spheres, top)
+            assert len(steps) <= 12
+            elem = np.column_stack([top, np.full(bind.size, n), np.full((bind.size, d - 1), -1)])
+            ref, _, ref_width, _ = lp._certify(gen, Xc, S, L, spheres, elem)
+            both = (width <= tol) & (ref_width <= tol)
+            # from the same start it certifies every row KKT Newton on {top, cap} does, to the same value
+            assert np.array_equal(both, ref_width <= tol)
+            assert np.all(np.abs(F - ref)[both] <= tol[both])
+            rows += np.count_nonzero(both)
+        assert rows > 3000
+
+    def test_rows_off_the_sphere_set_leave_the_stage_open(self, monkeypatch):
+        # alpha <= 0 or alpha + beta <= 0 means {top piece, cap} is the wrong set
+        wrong, on_cap = [], lp._on_cap
+
+        def spy(gen, X, S, L, spheres, k):
+            _, Z, _, a, b = gen._conjugates(S, k[:, None])
+            alpha = a[:, 0] + np.sum(S * (X - Z[:, 0]), axis=1) / L ** 2
+            off = (alpha <= 0) | (alpha + b[:, 0] - a[:, 0] <= 0)
+            F, Sout, width = on_cap(gen, X, S, L, spheres, k)
+            # such a row takes no step and leaves open
+            g = gen.value_many(X[off] + gen._origin)
+            assert np.array_equal(Sout[off], lp._onto_cap(S[off], L))
+            assert np.all(width[off] > lp.TOL * (1.0 + np.abs(g)))
+            wrong.append(np.count_nonzero(off))
+            return F, Sout, width
+
+        monkeypatch.setattr(lp, "_on_cap", spy)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            m = HolderModulus(0.6)
+            jet = normalized_jet(rng, 2, 5, m, spread=0.8)
+            gen, X = Generator(jet, m, 1.3), rng.uniform(-3.0, 3.0, size=(300, 2))
+            L = 0.6 * sup_norm_gradients(jet)
+            F = convex_combination_min(gen, X, L)[0]        # raises if a row stays open
+            ref, g, _ = _smoothed_path(gen, X, L)
+            assert np.all(np.abs(F - ref) <= lp.TOL * (1.0 + np.abs(g)))
+        assert sum(wrong) > 0
 
 
 class TestFailureContract:
