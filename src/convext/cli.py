@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,14 +82,17 @@ def _parse_domain(values, d):
     return arr[:, 0], arr[:, 1]
 
 
-def _parse_M(text):
-    return "auto" if text == "auto" else float(text)
-
-
-def _parse_lipschitz(text):
-    if text is None:
-        return None
-    return "auto" if text == "auto" else float(text)
+def _number(cast, ok, what, auto=False):
+    """An argparse type: ``cast(text)`` where ``ok`` holds for it, and 'auto'
+    where allowed; anything else is a usage error (exit 2)."""
+    def parse(text):
+        if auto and text == "auto":
+            return text
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
 
 
 def _gnuplot_script(csv_path, d, capped):
@@ -147,8 +151,8 @@ def cmd_extend(args) -> int:
     modulus = parse_modulus_spec(args.modulus)
     cfg = ExtensionConfig(
         modulus=modulus,
-        M=_parse_M(args.M),
-        lipschitz=_parse_lipschitz(args.lipschitz),
+        M=args.M,
+        lipschitz=args.lipschitz,
         smoothness_K=args.K,
         domain=_parse_domain(args.domain, jet.dimension),
         resolution=args.resolution,
@@ -257,16 +261,19 @@ def _add_common(p, with_modulus=True):
     if with_modulus:
         p.add_argument("--modulus", required=True, help="holder:ALPHA | linear | table:FILE")
     p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
-    p.add_argument("--tol", type=float, default=1e-9, help="feasibility tolerance")
+    p.add_argument("--tol", type=_number(float, lambda v: v >= 0, ">= 0"), default=1e-9,
+                   help="feasibility tolerance")
 
 
 def _add_build(p):
     p.add_argument("--domain", type=float, nargs="+", default=None,
                    help="box as lo1 hi1 [lo2 hi2 ...]; default: jet box +/- max(1, 2 diam)")
     p.add_argument("--resolution", type=int, default=None, help="grid points per axis")
-    p.add_argument("--samples", type=int, default=2000, help="verification sample count")
+    p.add_argument("--samples", type=_number(int, lambda v: v >= 0, ">= 0"), default=2000,
+                   help="verification sample count")
     p.add_argument("--seed", type=int, default=0, help="verification RNG seed")
-    p.add_argument("--K", type=float, default=None, help="override the midpoint-smoothness constant")
+    p.add_argument("--K", type=_number(float, lambda v: v > 0, "> 0"), default=None,
+                   help="override the midpoint-smoothness constant")
     p.add_argument("--out", default=None, help="write grid samples CSV here")
     p.add_argument("--gnuplot", action="store_true", help="also write a gnuplot script next to the CSV")
 
@@ -288,8 +295,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extend", help="build and verify the convex extension")
     _add_common(p)
-    p.add_argument("--M", default="auto", help="lifting constant, or 'auto' for the least feasible")
-    p.add_argument("--lipschitz", default=None, help="Lipschitz cap, or 'auto' for sup|G|")
+    p.add_argument("--M", type=_number(float, math.isfinite, "finite or 'auto'", auto=True), default="auto",
+                   help="lifting constant, or 'auto' for the least feasible")
+    p.add_argument("--lipschitz", type=_number(float, lambda v: math.isfinite(v) and v >= 0,
+                                               "finite and >= 0, or 'auto'", auto=True),
+                   default=None, help="Lipschitz cap, or 'auto' for sup|G|")
     _add_build(p)
     p.set_defaults(func=cmd_extend)
 

@@ -63,8 +63,8 @@ class Generator:
 
     def __init__(self, jet: Jet, modulus: Modulus, M: float):
         M = float(M)
-        if M < 0:
-            raise ValueError(f"M must be >= 0, got {M}")
+        if not (np.isfinite(M) and M >= 0):
+            raise ValueError(f"M must be finite and >= 0, got {M}")
         self.jet = jet
         self.modulus = modulus
         self.M = M
@@ -375,13 +375,14 @@ def build_envelope(generator: Generator, lo, hi, resolution: int) -> EnvelopeMod
             f"the conjugate domains |s - G_k| <= M sup(omega) = {generator.radius:.6g} "
             "share no point: conv(g) is -inf"
         )
-    diam = jet.diameter()
-    if d == 1 and diam > 0 and min(margin_lo, margin_hi) < diam:
-        warnings.warn(
-            f"domain margin {min(margin_lo, margin_hi):.3g} is below the jet "
-            f"diameter {diam:.3g}; envelope values near the jet may be distorted",
-            stacklevel=2,
-        )
+    if d == 1:
+        diam = jet.diameter()
+        if diam > 0 and min(margin_lo, margin_hi) < diam:
+            warnings.warn(
+                f"domain margin {min(margin_lo, margin_hi):.3g} is below the jet "
+                f"diameter {diam:.3g}; envelope values near the jet may be distorted",
+                stacklevel=2,
+            )
     return EnvelopeModel(generator, lo, hi, resolution)
 
 

@@ -8,18 +8,19 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 12 and 16).  Each query goes through these stages until its bracket closes:
 
 1. the screen ``Generator._exposed``, which also gives the active piece i
-   of g at x and its gradient s0 (projected onto the cap when |s0| > L);
-2. one ranked set at s0, with k the top piece by g_k*(s0): where the cap
-   binds, Riemannian Newton for max <s, x> - g_k*(s) on the sphere |s| = L,
-   whose step is closed form (``_on_cap``); else Newton on the KKT system
-   of {k, i} (i is then the second piece when it is k); capped rows left
-   open try the KKT system of {k, i, the cap};
-3. a smoothed Newton path (tau log sum_k exp(g_k*(s) / tau), penalized
-   outside the cap and the balls), then KKT Newton on active sets of at
-   most d + 1 pieces and spheres, an exchange and every set of ranked
-   elements; once per schedule.
+   of g at x and its gradient s0;
+2. ``_ranked`` from the start s0: projected onto the cap when |s0| > L, with
+   k the top piece by g_k*(s0).  Where the cap binds, Riemannian Newton for
+   max <s, x> - g_k*(s) on the sphere |s| = L, whose step is closed form
+   (``_on_cap``); else Newton on the KKT system of {k, i}, with i the second
+   piece when it is k.  Then a drop/add exchange on the sets still open, of
+   at most d + 1 pieces and spheres;
+3. once per schedule, a smoothed Newton path (tau log sum_k exp(g_k*(s) /
+   tau), penalized outside the cap and the balls) gives a new start for
+   ``_ranked``, with the second piece by g_k*(s) as i; then every set of
+   ranked elements.
 
-A wrong guess in step 2 costs time, not soundness: the bracket decides.
+A wrong guess in step 2 or 3 costs time, not soundness: the bracket decides.
 Both Newton methods take three steps on every row, then stop a row once its
 s-step fails to halve or falls to rounding: the row has converged or sits
 on a wrong active set, and its bracket tells which.  Each query is certified by
@@ -89,30 +90,53 @@ def _min_block(generator, X, L):
     return F, S
 
 
-def _ranked(gen, X, g, S, L, active):
-    """Newton on one set ranked at the screen's point (stage 2 of the
-    module docstring): (F, s, width).  ``active`` is the screen's piece."""
+def _ranked(gen, X, g, S, L, active=None):
+    """The ranked set at each start S, then the exchange (step 2 of the
+    module docstring): (F, s, width).  ``active`` is the screen's piece;
+    without a screen the second piece by g_k*(s) stands in for it."""
     (Q, d), n = X.shape, gen.jet.size
+    K, rows = d + 1, np.arange(Q)
+    tol = TOL * (1.0 + np.abs(g))
     spheres, bind = _spheres(gen, L), np.zeros(Q, dtype=bool)
+    real = np.isfinite(spheres[1])
     if L is not None:
         bind = np.sqrt(np.sum(S * S, axis=1)) > L
         S = _onto_cap(S, L)
     order = _ranking(gen, S)
-    top = order[:, 0]
-    other = np.where(active != top, active, order[:, 1] if n > 1 else -1)
-    empty = np.full((Q, d - 1), -1)
-    F, Sout, width = np.empty(Q), np.empty_like(S), np.empty(Q)
+    top, second = order[:, 0], order[:, 1] if n > 1 else np.full(Q, -1)
+    other = second if active is None else np.where(active != top, active, second)
+    elem = np.column_stack([top, np.where(bind, n, other), np.full((Q, d - 1), -1)])     # element n is the cap
+    F, Sout, width, mult = np.empty(Q), np.empty_like(S), np.empty(Q), np.zeros((Q, K))
     on, off = np.flatnonzero(bind), np.flatnonzero(~bind)
-    if on.size:
+    if on.size:     # weight 1 on the piece, and nu = <x - z_k(s), s> / L on the cap
         F[on], Sout[on], width[on] = _on_cap(gen, X[on], S[on], L, spheres, top[on])
+        Z = gen._conjugates(Sout[on], top[on, None])[1][:, 0]
+        mult[on, 0], mult[on, 1] = 1.0, np.sum((X[on] - Z) * Sout[on], axis=1) / L
     if off.size:
-        elem = np.column_stack([top, other, empty])[off]
-        F[off], Sout[off], width[off], _ = _certify(gen, X[off], S[off], L, spheres, elem)
-    if L is not None and d > 1:     # capped rows left open try {top, other, cap}; element n is the cap
-        redo = np.flatnonzero(~(width <= TOL * (1.0 + np.abs(g))))
-        if redo.size:
-            elem = np.column_stack([top, other, np.full(Q, n), empty[:, 1:]])[redo]
-            F[redo], Sout[redo], width[redo], _ = _certify(gen, X[redo], S[redo], L, spheres, elem)
+        F[off], Sout[off], width[off], mult[off] = _certify(gen, X[off], S[off], L, spheres, elem[off])
+    for _ in range(2 * K):
+        # exchange on the failed sets: drop the most negative weight; without
+        # one, add a sphere the solution reached, else the largest piece left out
+        weights = np.where(elem >= 0, mult, np.inf)
+        worst = np.argmin(weights, axis=1)
+        low = weights[rows, worst]
+        pieces_left = np.sum((elem >= 0) & (elem < n), axis=1) - (elem[rows, worst] < n)
+        drop = (width > tol) & (low < 0) & (pieces_left > 0)
+        add = np.flatnonzero((width > tol) & (low >= 0) & np.any(elem < 0, axis=1))
+        if not (drop.any() or add.size):
+            break
+        elem[drop, worst[drop]], mult[drop, worst[drop]] = -1, 0.0
+        if add.size:
+            reached = (spheres[1] - _normals(Sout[add], spheres[0])[1] <= 1e-12 * spheres[1]) & real
+            score = np.hstack([gen._conjugates(Sout[add], full=False),
+                               np.where(reached, np.inf, -np.inf), np.zeros((add.size, 1))])
+            np.put_along_axis(score, np.where(elem[add] >= 0, elem[add], -1), -np.inf, axis=1)
+            free = np.argmin(elem[add], axis=1)
+            elem[add, free], mult[add, free] = np.argmax(score[:, :-1], axis=1), 0.0
+        redo = np.flatnonzero(drop | np.isin(rows, add))    # restart from the last solution
+        start = np.where(np.isfinite(Sout[redo]), Sout[redo], S[redo])
+        F[redo], Sout[redo], width[redo], mult[redo] = _certify(
+            gen, X[redo], start, L, spheres, elem[redo], np.nan_to_num(mult[redo]))
     return F, Sout, width
 
 
@@ -172,49 +196,18 @@ def _ranking(gen, S):
 
 
 def _solve(gen, X, g, S, L, taus, steps):
-    """Smoothed start, then KKT Newton on active sets: (F, s, width)."""
+    """Smoothed start, then ``_ranked`` there, then every set of ranked
+    elements: (F, s, width)."""
     (Q, d), n = X.shape, gen.jet.size
-    K, rows = d + 1, np.arange(Q)
-    tol = TOL * (1.0 + np.abs(g))
-    spheres = _spheres(gen, L)
-    real = np.isfinite(spheres[1])
-    S, gap, tau = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres, taus, steps)
-    room = spheres[1] - _normals(S, spheres[0])[1]
-    P, B = min(n, d + 2), min(int(np.sum(real)), K)          # ranked pieces and spheres
-    ranked = np.hstack([np.argsort(gap, axis=1, kind="stable")[:, :P],
-                        n + np.argsort(room, axis=1, kind="stable")[:, :B]])
-    # first set: the pieces within 3 tau of the top and the spheres nearly reached
-    j = np.minimum(np.sum((room <= 1e-2 * spheres[1]) & real, axis=1), min(B, K - 1))
-    m = np.minimum(np.clip(np.sum(gap <= 3.0 * tau[:, None], axis=1), 1, P), K - j)
-    slot = np.arange(K)
-    pick = np.where(slot < m[:, None], slot, np.where(slot < (m + j)[:, None], P + slot - m[:, None], -1))
-    elem = np.where(pick >= 0, np.take_along_axis(ranked, np.maximum(pick, 0), axis=1), -1)
-    F, Sout, width, mult = _certify(gen, X, S, L, spheres, elem)
-    for _ in range(2 * K):
-        # exchange on the failed sets: drop the most negative weight; without
-        # one, add a sphere the solution reached, else the largest piece left out
-        weights = np.where(elem >= 0, mult, np.inf)
-        worst = np.argmin(weights, axis=1)
-        low = weights[rows, worst]
-        pieces_left = np.sum((elem >= 0) & (elem < n), axis=1) - (elem[rows, worst] < n)
-        drop = (width > tol) & (low < 0) & (pieces_left > 0)
-        add = np.flatnonzero((width > tol) & (low >= 0) & np.any(elem < 0, axis=1))
-        if not (drop.any() or add.size):
-            break
-        elem[drop, worst[drop]], mult[drop, worst[drop]] = -1, 0.0
-        if add.size:
-            reached = (spheres[1] - _normals(Sout[add], spheres[0])[1] <= 1e-12 * spheres[1]) & real
-            score = np.hstack([gen._conjugates(Sout[add], full=False),
-                               np.where(reached, np.inf, -np.inf), np.zeros((add.size, 1))])
-            np.put_along_axis(score, np.where(elem[add] >= 0, elem[add], -1), -np.inf, axis=1)
-            free = np.argmin(elem[add], axis=1)
-            elem[add, free], mult[add, free] = np.argmax(score[:, :-1], axis=1), 0.0
-        redo = np.flatnonzero(drop | np.isin(rows, add))    # restart from the last solution
-        start = np.where(np.isfinite(Sout[redo]), Sout[redo], S[redo])
-        F[redo], Sout[redo], width[redo], mult[redo] = _certify(
-            gen, X[redo], start, L, spheres, elem[redo], np.nan_to_num(mult[redo]))
-    bad = np.flatnonzero(width > tol)
+    K, spheres = d + 1, _spheres(gen, L)
+    S, gap = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres, taus, steps)
+    F, Sout, width = _ranked(gen, X, g, S, L)
+    bad = np.flatnonzero(width > TOL * (1.0 + np.abs(g)))
     if bad.size:        # every set of ranked elements with at least one piece
+        room = spheres[1] - _normals(S, spheres[0])[1]
+        P, B = min(n, d + 2), min(int(np.sum(np.isfinite(spheres[1]))), K)     # ranked pieces and spheres
+        ranked = np.hstack([np.argsort(gap, axis=1, kind="stable")[:, :P],
+                            n + np.argsort(room, axis=1, kind="stable")[:, :B]])
         sets = np.array([c + (-1,) * (K - len(c)) for size in range(1, K + 1)
                          for c in combinations(range(P + B), size) if c[0] < P])
         owner, pick = np.repeat(bad, len(sets)), np.tile(sets, (bad.size, 1))
@@ -250,8 +243,7 @@ def _normals(S, centers):
 def _smoothed(gen, X, S, scale, spheres, taus, steps):
     """Newton with backtracking on tau log sum_k exp(g_k*(s) / tau) - <s, x>
     + (1 + |x|^2) / (2 tau) sum_j max(0, |s - c_j| - rho_j)^2, for each tau
-    in taus (times scale).  Returns s, the gaps max_j g_j*(s) - g_k*(s) and
-    the last tau."""
+    in taus (times scale).  Returns s and the gaps max_j g_j*(s) - g_k*(s)."""
     weight = 1.0 + np.sum(X * X, axis=1)
 
     def objective(S, c, dist, X, tau, weight):
@@ -289,7 +281,7 @@ def _smoothed(gen, X, S, scale, spheres, taus, steps):
             S[live] = s
             live = live[np.max(np.abs(step), axis=1) > 1e-6 * (1.0 + np.max(np.abs(s), axis=1))]
     c = gen._conjugates(S, full=False)
-    return S, np.max(c, axis=1, keepdims=True) - c, taus[-1] * scale
+    return S, np.max(c, axis=1, keepdims=True) - c
 
 
 def _hessian(w, a, b, U):

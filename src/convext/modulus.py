@@ -170,21 +170,11 @@ class HolderModulus(Modulus):
         return f"HolderModulus(alpha={self.alpha})"
 
 
-class LinearModulus(Modulus):
-    """The identity modulus omega(t) = t (Lipschitz gradients)."""
+class LinearModulus(HolderModulus):
+    """The identity modulus omega(t) = t (Lipschitz gradients): t^alpha with alpha = 1."""
 
-    coercive = True
-    holder_exponent = 1.0
-
-    def _omega(self, t):
-        return np.asarray(t, dtype=float)
-
-    def _phi(self, t):
-        return 0.5 * np.square(t)
-
-    def _conjugate(self, s):
-        s = np.asarray(s, dtype=float)
-        return 0.5 * np.square(s), s, np.ones_like(s)
+    def __init__(self):
+        super().__init__(1.0)
 
     def __repr__(self):
         return "LinearModulus()"
@@ -462,10 +452,10 @@ def modulus_to_json(m: Modulus):
         inner = modulus_to_json(m.base)
         inner["scale"] = m.factor * inner.get("scale", 1.0)
         return inner
+    if isinstance(m, LinearModulus):       # before HolderModulus, its base
+        return {"type": "linear"}
     if isinstance(m, HolderModulus):
         return {"type": "holder", "alpha": m.alpha}
-    if isinstance(m, LinearModulus):
-        return {"type": "linear"}
     if isinstance(m, TableModulus):
         return {"type": "table", "knots": m.knots.tolist()}
     raise TypeError(f"cannot serialize modulus {m!r}")

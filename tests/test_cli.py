@@ -203,6 +203,18 @@ class TestExtend:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--M", "nan"), ("--M", "inf"), ("--lipschitz", "nan"), ("--lipschitz", "inf"),
+        ("--lipschitz", "-1"), ("--tol", "nan"), ("--tol", "-1"), ("--K", "nan"), ("--K", "0"),
+        ("--samples", "-1"),
+    ])
+    def test_bad_numeric_flag_exits_two_at_parse_time(self, halfsq_file, capsys, flag, value):
+        with pytest.raises(SystemExit) as exit_:
+            main(["extend", halfsq_file, "--modulus", "linear", flag, value])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err and "Traceback" not in err
+
 
 class TestC1Command:
     def test_dense_grid(self, tmp_path, capsys):

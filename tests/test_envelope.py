@@ -82,6 +82,11 @@ class TestGeneratorAndMinorant:
         with pytest.raises(ValueError):
             Generator(AFFINE_JET, LinearModulus(), -1.0)
 
+    @pytest.mark.parametrize("M", [np.nan, np.inf])
+    def test_non_finite_M_rejected(self, M):
+        with pytest.raises(ValueError, match="finite"):
+            Generator(AFFINE_JET, LinearModulus(), M)
+
 
 class TestBuildEnvelope1D:
     def test_convex_generator_is_its_own_envelope(self):
@@ -542,6 +547,15 @@ class TestSolveWork:
         monkeypatch.setattr(lp, "_smoothed", spy)
         convex_combination_min(gen, X, L)
         assert unscreened > 500 and sum(rows) < 0.15 * unscreened
+
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_every_start_takes_the_ranked_set_and_the_exchange(self, monkeypatch, capped):
+        # the screen's point, the ranked set there and the exchange settle every row
+        gen, X, L = self._case()
+        rows, smoothed = [], lp._smoothed
+        monkeypatch.setattr(lp, "_smoothed", lambda gen, X, *args: rows.append(len(X)) or smoothed(gen, X, *args))
+        convex_combination_min(gen, X, L if capped else None)
+        assert rows == []
 
     def test_cap_bound_rows_build_no_kkt_system(self, monkeypatch):
         gen, X, L = self._case()
