@@ -31,13 +31,11 @@ from .jet import (
     lip_omega_gradients,
     seminorm_A_extrinsic,
     seminorm_A_intrinsic,
-    seminorm_relation_report,
     sup_norm_gradients,
 )
 from .envelope import (
     EnvelopeModel,
     Generator,
-    brute_force_envelope,
     build_envelope,
     minorant,
     write_samples_csv,
@@ -48,7 +46,6 @@ from .extension import (
     ExtensionModel,
     VerificationReport,
     build_extension,
-    check_necessity,
     default_domain,
     verify_extension,
 )
@@ -56,7 +53,6 @@ from .c1 import (
     ConstructedModulus,
     build_construction,
     c1_extend,
-    compute_delta,
     delta1_value,
     delta_many,
 )

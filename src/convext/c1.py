@@ -49,7 +49,6 @@ from .modulus import LinearModulus, Modulus, TableModulus, validate_modulus
 
 __all__ = [
     "ConstructedModulus",
-    "compute_delta",
     "delta_many",
     "delta1_value",
     "build_construction",
@@ -86,10 +85,10 @@ class ConstructedModulus:
         return out
 
 
-def _front_under_C(jet: Jet, tol: float = 1e-9):
+def _front_under_C(jet: Jet):
     """Defects (c, s) of the verdict's Pareto-front pairs; raises the
     verdict's error when condition (C) fails."""
-    verdict = _verdict(jet, tol)
+    verdict = _verdict(jet, 1e-9)
     if not verdict.condition_C.ok:
         raise verdict.error
     return verdict.front[2:]
@@ -100,20 +99,13 @@ def _delta(c, s, ts):
 
 
 def delta_many(jet: Jet, ts) -> np.ndarray:
-    """delta on an array of positive distances (exact finite-set reduction);
-    needs condition (C) only, like ``compute_delta``."""
+    """delta, the worst tangent-plane crossing rate within witness distance t,
+    on an array of positive distances t (exact finite-set reduction); needs
+    condition (C) only."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("delta is defined for t > 0")
     return _delta(*_front_under_C(jet), ts)
-
-
-def compute_delta(jet: Jet, t: float, tol: float = 1e-9) -> float:
-    """Worst tangent-plane crossing rate within witness distance t; needs
-    condition (C) only."""
-    if t <= 0:
-        raise ValueError("delta is defined for t > 0")
-    return float(_delta(*_front_under_C(jet, tol), np.array([t]))[0])
 
 
 def delta1_value(jet: Jet, L: float, t):
@@ -123,7 +115,7 @@ def delta1_value(jet: Jet, L: float, t):
     linear, so the infimum over u >= 1 is attained at u = 1 or at a
     breakpoint of h above 1.  The breakpoints are the slopes of the upper
     hull of the front points (c_k, s_k) and the origin.  Needs condition
-    (C) only, like ``compute_delta``.
+    (C) only, like ``delta_many``.
     """
     return _delta1(*_front_under_C(jet), L, t)
 

@@ -231,7 +231,7 @@ def cmd_reproduce(args) -> int:
             domain=(np.array([-3.0]), np.array([3.0])), resolution=4001,
         )
         model = build_extension(jet, cfg)
-        record("F_L(2)", model.lipschitz_value([2.0]), 1.5, 5e-3)
+        record("F_L(2)", model.envelope.lipschitz_value([2.0]), 1.5, 5e-3)
     else:
         raise ValueError(f"unknown reproduction case {name!r}")
 

@@ -32,9 +32,6 @@ no (queries, pieces) temporary outgrows a fixed element budget.
   x and y_k measured from the jet's centroid.  The box only places the
   grid of CSV rows; nothing is evaluated there until the CSV is written.
 * d > 3 is rejected.
-
-``brute_force_envelope`` is an independent randomized upper-bound oracle
-used by the test-suite to cross-check both constructions.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ __all__ = [
     "minorant",
     "EnvelopeModel",
     "build_envelope",
-    "brute_force_envelope",
     "write_samples_csv",
 ]
 
@@ -86,8 +82,6 @@ class Generator:
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
-    __call__ = value
 
     def _conjugates(self, S, idx=None, full=True, inside=False):
         """g_k*(s) = <s, y_k> - f_k + M phi*(|s - G_k| / M) for the pieces idx
@@ -227,12 +221,8 @@ class EnvelopeModel:
 
     # -- helpers
 
-    def contains(self, X) -> np.ndarray:
-        X = _as_points(X, self.dimension)
-        return np.all((X >= self.lo - 1e-12) & (X <= self.hi + 1e-12), axis=1)
-
     def _require_inside(self, X):
-        inside = self.contains(X)
+        inside = np.all((X >= self.lo - 1e-12) & (X <= self.hi + 1e-12), axis=1)
         if not np.all(inside):
             bad = X[~inside][0]
             raise ValueError(f"query {bad} lies outside the envelope domain")
@@ -314,10 +304,12 @@ class EnvelopeModel:
         return float(self.lipschitz_value_many(np.asarray(x, dtype=float).reshape(1, -1), L)[0])
 
     def _resolve_cap(self, L):
+        """The supplied cap, with a warning when it is below sup|G|, or the
+        configured one, which ``build_extension`` warns about once."""
         if L is None:
-            L = self.lipschitz_cap
-        if L is None:
-            raise ValueError("no Lipschitz cap configured and none supplied")
+            if self.lipschitz_cap is None:
+                raise ValueError("no Lipschitz cap configured and none supplied")
+            return float(self.lipschitz_cap)
         L = float(L)
         _warn_low_cap(self.generator.jet, L, stacklevel=4)
         return L
@@ -386,75 +378,9 @@ def build_envelope(generator: Generator, lo, hi, resolution: int) -> EnvelopeMod
     return EnvelopeModel(generator, lo, hi, resolution)
 
 
-def brute_force_envelope(generator: Generator, x, budget: int, rng, lo=None, hi=None) -> float:
-    """Randomized upper bound for conv(g)(x), sampling tuples in a box.
-
-    Draws ``budget`` random (d+1)-tuples in the box (default: the jet's
-    bounding box inflated by twice max(1, diameter)), solves the affine
-    weights from the interpolation constraint, rejects tuples whose simplex
-    does not contain x, and returns the best objective found (including the
-    trivial combination {x} itself).  Converges from above, as the budget
-    grows, to the envelope with combination points restricted to the box.
-    Only d <= 2 is supported.
-    """
-    jet = generator.jet
-    d = jet.dimension
-    if d > 2:
-        raise ValueError("the brute-force oracle is limited to dimension <= 2")
-    x = np.asarray(x, dtype=float).reshape(-1)
-    diam = max(jet.diameter(), 1.0)
-    if lo is None:
-        lo = np.minimum(np.min(jet.points, axis=0), x) - 2.0 * diam
-    if hi is None:
-        hi = np.maximum(np.max(jet.points, axis=0), x) + 2.0 * diam
-    lo = np.asarray(lo, dtype=float).reshape(-1)
-    hi = np.asarray(hi, dtype=float).reshape(-1)
-
-    best = generator.value(x)
-    if d == 1:
-        a = rng.uniform(lo[0], x[0], size=budget)
-        b = rng.uniform(x[0], hi[0], size=budget)
-        keep = (b - a) > 1e-12
-        a, b = a[keep], b[keep]
-        lam = (b - x[0]) / (b - a)
-        ga = generator.value_many(a[:, None])
-        gb = generator.value_many(b[:, None])
-        vals = lam * ga + (1.0 - lam) * gb
-        if vals.size:
-            best = min(best, float(np.min(vals)))
-        return best
-
-    # d == 2: barycentric weights in closed form, as ratios of signed areas
-    def cross(u, v):
-        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-
-    chunk = 20000
-    done = 0
-    while done < budget:
-        k = min(chunk, budget - done)
-        done += k
-        tri = rng.uniform(lo, hi, size=(k, 3, 2))
-        det = cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-        good = np.abs(det) > 1e-12
-        if not np.any(good):
-            continue
-        V = tri[good] - x             # the vertices seen from x
-        lam = np.stack([cross(V[:, 1], V[:, 2]), cross(V[:, 2], V[:, 0]), cross(V[:, 0], V[:, 1])],
-                       axis=1) / det[good, None]
-        inside = np.all(lam >= -1e-12, axis=1)
-        if not np.any(inside):
-            continue
-        pts = tri[good][inside]
-        w = lam[inside]
-        gv = generator.value_many(pts.reshape(-1, 2)).reshape(-1, 3)
-        vals = np.sum(w * gv, axis=1)
-        best = min(best, float(np.min(vals)))
-    return best
-
-
 def write_samples_csv(model: EnvelopeModel, path, lipschitz: Optional[float] = None):
-    """Write grid samples as CSV: x1..xd, g, m, F (and F_L when capped)."""
-    L = lipschitz if lipschitz is not None else model.lipschitz_cap
+    """Write grid samples as CSV: x1..xd, g, m, F, and F_L when ``lipschitz``
+    is given or the model has a configured cap."""
     jet = model.generator.jet
     d = model.dimension
     if d == 1:
@@ -467,8 +393,8 @@ def write_samples_csv(model: EnvelopeModel, path, lipschitz: Optional[float] = N
     F = model.grid_envelope_values()
     cols = [X[:, k] for k in range(d)] + [g, m_vals, F]
     header = [f"x{k + 1}" for k in range(d)] + ["g", "m", "F"]
-    if L is not None:
-        cols.append(model.lipschitz_values_grid(X, L))
+    if lipschitz is not None or model.lipschitz_cap is not None:
+        cols.append(model.lipschitz_values_grid(X, lipschitz))
         header.append("F_L")
     fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:

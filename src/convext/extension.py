@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .envelope import Generator, _warn_low_cap, build_envelope
-from .jet import Jet, _A, _defects, _pairwise_dist, _planes, _verdict, sup_norm_gradients
+from .jet import Jet, _A, _defects, _verdict, sup_norm_gradients
 from .modulus import Modulus
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "ConstantTooSmallError",
     "build_extension",
     "verify_extension",
-    "check_necessity",
     "default_domain",
 ]
 
@@ -120,23 +119,8 @@ class ExtensionModel:
         as ``fd_step``."""
         return 4.0 * self.grid_spacing()
 
-    def value(self, x) -> float:
-        return self.envelope.value(x)
-
-    def value_many(self, X):
-        return self.envelope.value_many(X)
-
-    def lipschitz_value(self, x) -> float:
-        return self.envelope.lipschitz_value(x, self.L)
-
-    def lipschitz_value_many(self, X):
-        return self.envelope.lipschitz_value_many(X, self.L)
-
     def gradient_many(self, X):
         return self.envelope.gradient_many(X)
-
-    def gradient(self, x):
-        return self.gradient_many(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
     def restriction(self) -> Jet:
         """The jet (F, grad F) restricted back to the original points."""
@@ -156,13 +140,25 @@ class ExtensionModel:
         }
 
 
+def _check_numbers(cfg: ExtensionConfig):
+    """Raise ValueError naming the first numeric field of cfg out of range."""
+    for name, value, ok, what in (
+        ("tol", cfg.tol, lambda v: v >= 0, ">= 0"),
+        ("lipschitz", cfg.lipschitz, lambda v: np.isfinite(v) and v >= 0, "finite and >= 0"),
+        ("smoothness_K", cfg.smoothness_K, lambda v: np.isfinite(v) and v > 0, "finite and > 0"),
+    ):
+        if value not in (None, "auto") and not ok(float(value)):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
     """Resolve the configuration, check feasibility, and build the envelope.
 
     Raises :class:`InfeasibleJetError` naming the failing condition when no
     constant works (A = +inf), and ``ValueError`` when an explicit M is below
-    the least feasible constant.
+    the least feasible constant or a numeric field of cfg is out of range.
     """
+    _check_numbers(cfg)
     verdict = _verdict(jet, cfg.tol)
     if verdict.error:
         raise verdict.error
@@ -351,7 +347,7 @@ def verify_extension(
         # over |s| <= L (d >= 2): L-Lipschitz either way
         xs = _sample_interior(model, rng, samples, pad=0.0)
         ys = _sample_interior(model, rng, samples, pad=0.0)
-        FLx, FLy = np.split(model.envelope.lipschitz_values_grid(np.vstack([xs, ys]), L), 2)
+        FLx, FLy = np.split(model.envelope.lipschitz_values_grid(np.vstack([xs, ys])), 2)
         d = np.sqrt(np.sum((xs - ys) ** 2, axis=1))
         ok = d > 1e-12
         ratios = np.abs(FLx[ok] - FLy[ok]) / d[ok]
@@ -393,46 +389,3 @@ def verify_extension(
             "slack_additive": slack_add,
         },
     )
-
-
-def check_necessity(model: ExtensionModel, samples: int = 500, seed: int = 0) -> dict:
-    """Sampled check that every lifted tangent plane of F dominates the rest.
-
-    Uses the measured gradient seminorm M_hat as the lifting constant and
-    asserts, over random triples (x, y, z),
-
-        F(z) + <gF(z), x - z>  <=  F(y) + <gF(y), x - y> + M_hat phi(|x - y|)
-
-    up to multiplicative slack on the phi term and the sampling term
-    10 M omega(h_grid) h_grid.
-    """
-    rng = np.random.default_rng(seed)
-    m = model.modulus
-    h = model.default_step()
-    sp = model.grid_spacing()
-    rep = verify_extension(model, samples=samples, seed=seed)
-    M_hat = rep.empirical_lip_omega_gradF
-
-    k = max(10, int(round(samples ** (1.0 / 3.0)) + 2))
-    xs = _sample_interior(model, rng, k, pad=0.0)
-    yz = _sample_interior(model, rng, k, pad=1.5 * h)
-    F_yz, G_yz = model.envelope._value_and_gradient(yz)
-
-    # rows: the points x; columns: the points y (and z) of the triples
-    planes = _planes(yz, F_yz, G_yz, xs)
-    lift = m.phi(_pairwise_dist(xs, yz))
-    slack = 0.05 * M_hat * lift + 10.0 * model.M * m.omega(sp) * sp + 1e-9
-    defect = np.max(planes, axis=1, keepdims=True) - planes - M_hat * lift - slack
-    z_idx, y_idx = np.argmax(planes, axis=1), np.argmax(defect, axis=1)
-    worst = np.max(defect, axis=1)
-    violations = [
-        {"x": xs[i].tolist(), "y": yz[y_idx[i]].tolist(), "z": yz[z_idx[i]].tolist(), "defect": float(worst[i])}
-        for i in np.flatnonzero(worst > 0)
-    ]
-    return {
-        "violations": violations,
-        "ok": not violations,
-        "max_defect": float(np.max(worst)),
-        "M_hat": M_hat,
-        "triples": int(k * k),
-    }

@@ -70,7 +70,6 @@ __all__ = [
     "compute_A",
     "lip_omega_gradients",
     "sup_norm_gradients",
-    "seminorm_relation_report",
     "feasibility_report",
 ]
 
@@ -465,17 +464,6 @@ def _relation(v: _Verdict, m: Modulus, A: float) -> dict:
         out["holder_bound"] = bound
         out["holder_ok"] = bool(lip <= bound * (1.0 + 1e-12) + 1e-15)
     return out
-
-
-def seminorm_relation_report(jet: Jet, m: Modulus, A: Optional[float] = None) -> dict:
-    """Check lip_omega(G) <= (4/3) A, and the sharper power-modulus bound.
-
-    For omega(t) = t^alpha the factor improves to ((1+alpha)/(2 alpha))^alpha.
-    Returns the measured quantities, the bounds and pass flags; when A is
-    infinite the relation is reported as not applicable.
-    """
-    v = _verdict(jet, 1e-9)
-    return _relation(v, m, _A(v, m) if A is None else A)
 
 
 @dataclass

@@ -4,7 +4,6 @@ import pytest
 from convext.c1 import (
     build_construction,
     c1_extend,
-    compute_delta,
     delta1_value,
     delta_many,
 )
@@ -30,13 +29,13 @@ def halfsq_grid_jet(n=101):
 
 class TestDelta:
     def test_halfsq_values(self):
-        assert compute_delta(HALFSQ, 1.0) == pytest.approx(0.5)
-        assert compute_delta(HALFSQ, 0.25) == pytest.approx(0.0)
+        assert delta_many(HALFSQ, [1.0])[0] == pytest.approx(0.5)
+        assert delta_many(HALFSQ, [0.25])[0] == pytest.approx(0.0)
 
     def test_constant_gradient_zero(self):
         jet = Jet([[0.0], [1.0]], [0.0, 3.0], [[3.0], [3.0]])
         for t in (0.1, 1.0, 10.0):
-            assert compute_delta(jet, t) == 0.0
+            assert delta_many(jet, [t])[0] == 0.0
 
     def test_monotone_and_bounded(self, rng):
         jet = dense_restriction_jet(rng, n=60)
@@ -49,17 +48,16 @@ class TestDelta:
 
     def test_domain_and_feasibility_errors(self):
         with pytest.raises(ValueError):
-            compute_delta(HALFSQ, 0.0)
+            delta_many(HALFSQ, [0.0])
         with pytest.raises(ValueError):
             delta_many(HALFSQ, [1.0, 0.0])
         bad = Jet([[0.0], [1.0]], [0.0, -1.0], [[0.0], [0.0]])
-        for evaluate in (lambda j: compute_delta(j, 1.0), lambda j: delta_many(j, [1.0]),
-                         lambda j: delta1_value(j, 1.0, 0.5)):
+        for evaluate in (lambda j: delta_many(j, [1.0]), lambda j: delta1_value(j, 1.0, 0.5)):
             with pytest.raises(InfeasibleJetError, match="condition_C"):
                 evaluate(bad)
-        # all three need (C) only: a (CW1) failure still has a delta
+        # both need (C) only: a (CW1) failure still has a delta
         cw1 = Jet([[0.0], [1.0]], [0.0, 0.0], [[0.0], [1.0]])
-        assert compute_delta(cw1, 1.0) == delta_many(cw1, [1.0])[0] == 1.0
+        assert delta_many(cw1, [1.0])[0] == 1.0
         assert np.isfinite(delta1_value(cw1, 1.0, 0.5))
 
     def test_matches_witness_grid(self, rng):
@@ -67,7 +65,7 @@ class TestDelta:
         jet = dense_restriction_jet(rng, n=9)
         P, f, G = jet.points, jet.values, jet.gradients
         for t in (0.3, 1.0):
-            target = compute_delta(jet, t)
+            target = delta_many(jet, [t])[0]
             best = 0.0
             for i in range(jet.size):          # y index
                 for j in range(jet.size):      # z index
@@ -105,7 +103,7 @@ class TestDelta1:
     def test_zero_limit_for_feasible(self, rng):
         jet = dense_restriction_jet(rng, n=80)
         L = float(np.max(np.abs(jet.gradients)))
-        assert delta1_value(jet, L, 0.0) <= compute_delta(jet, 1e-6) + 1e-9
+        assert delta1_value(jet, L, 0.0) <= delta_many(jet, [1e-6])[0] + 1e-9
         # t = 0: the infimum is h at its last breakpoint, where h reaches 0
         assert delta1_value(jet, L, 0.0) == pytest.approx(0.0, abs=1e-12 * L)
 
@@ -151,7 +149,7 @@ class TestDelta1:
         jet = dense_restriction_jet(rng, n=70)
         L = float(np.max(np.abs(jet.gradients)))
         for t in np.geomspace(1e-3, 5.0, 25):
-            assert delta1_value(jet, L, t) >= compute_delta(jet, t) - 1e-9
+            assert delta1_value(jet, L, t) >= delta_many(jet, [t])[0] - 1e-9
 
 
 class TestConstruction:
@@ -226,7 +224,7 @@ class TestC1Extend:
         model, report, cm = c1_extend(jet, resolution=201, samples=300, seed=1)
         assert cm.degenerate
         xs = np.linspace(*model.domain, 40).reshape(-1, 1)
-        assert np.allclose(model.lipschitz_value_many(xs), 2.0, atol=1e-12)
+        assert np.allclose(model.envelope.lipschitz_value_many(xs), 2.0, atol=1e-12)
         assert report.empirical_lip_F == pytest.approx(0.0, abs=1e-12)
 
     def test_pareto_reduction_consistency(self, rng):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,14 @@ class TestValidate:
         code = main(["validate", str(path), "--modulus", "linear"])
         assert code == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_nan_value_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"dimension": 1, "points": [[0.0], [1.0]], "values": [0.0, NaN], '
+                        '"gradients": [[0.0], [1.0]]}')
+        code = main(["validate", str(path), "--modulus", "linear"])
+        assert code == 2
+        assert capsys.readouterr().err == "input error: jet data must be finite\n"
 
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -203,6 +212,22 @@ class TestExtend:
         ])
         assert code == 2
 
+    def test_low_cap_warns_once_per_run(self, tmp_path):
+        # the corners of a square under |x|^2 / 2: sup|G| = sqrt(2)
+        pts = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps(Jet(pts, [1.0] * 4, pts).to_json()))
+        argv = ["extend", str(path), "--modulus", "linear", "--lipschitz", "0.5", "--resolution", "33",
+                "--samples", "200", "--out", str(tmp_path / "samples.csv"),
+                "--report", str(tmp_path / "report.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main(argv)
+        assert [str(w.message) for w in caught] == [
+            f"Lipschitz cap 0.5 is below sup|G| = {np.sqrt(2.0)}; the capped envelope will not "
+            "interpolate the jet"
+        ]
+
     @pytest.mark.parametrize("flag, value", [
         ("--M", "nan"), ("--M", "inf"), ("--lipschitz", "nan"), ("--lipschitz", "inf"),
         ("--lipschitz", "-1"), ("--tol", "nan"), ("--tol", "-1"), ("--K", "nan"), ("--K", "0"),
@@ -327,7 +352,7 @@ def test_translated_jet_gives_the_same_results(tmp_path, capsys, d):
     m = HolderModulus(0.5)
     report = json.dumps(feasibility_report(base, m).to_json())
     model = build_extension(base, ExtensionConfig(modulus=m))
-    F0, S0 = model.value_many(pts), model.gradient_many(pts)
+    F0, S0 = model.envelope.value_many(pts), model.gradient_many(pts)
     for shift in (2.0 ** 14, 2.0 ** 20):
         jet = Jet(pts + shift, base.values, base.gradients)
         assert json.dumps(feasibility_report(jet, m).to_json()) == report
@@ -337,7 +362,7 @@ def test_translated_jet_gives_the_same_results(tmp_path, capsys, d):
         if d == 1:
             assert json.loads(capsys.readouterr().out)["verification"]["interpolation_max_error"] == 0.0
         model = build_extension(jet, ExtensionConfig(modulus=m))
-        F, S = model.value_many(jet.points), model.gradient_many(jet.points)
+        F, S = model.envelope.value_many(jet.points), model.gradient_many(jet.points)
         assert np.all(np.abs(F - F0) <= 2.0 * TOL * (1.0 + np.abs(base.values)))
         assert np.max(np.abs(S - S0)) <= 1e-9
 

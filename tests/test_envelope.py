@@ -7,7 +7,6 @@ import pytest
 from convext import lp
 from convext.envelope import (
     Generator,
-    brute_force_envelope,
     build_envelope,
     minorant,
     write_samples_csv,
@@ -24,6 +23,7 @@ from conftest import (
     random_feasible_jet,
     random_modulus,
 )
+from oracles import brute_force_envelope
 
 AFFINE_JET = Jet([[-1.0], [1.0]], [-2.0, 4.0], [[3.0], [3.0]])  # f(t) = 3t + 1
 
@@ -326,7 +326,7 @@ class TestEnvelope2D:
             build_envelope(gen, [-1.0] * 4, [1.0] * 4, 33)
         with pytest.raises(ValueError):
             brute_force_envelope(Generator(Jet(np.zeros((1, 3)), [0.0], np.zeros((1, 3))), LinearModulus(), 1.0),
-                                 np.zeros(3), 10, np.random.default_rng(0))
+                                 np.zeros(3), 10, np.random.default_rng(0), -np.ones(3), np.ones(3))
 
 
 class TestExposedNodes:

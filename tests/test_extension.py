@@ -9,7 +9,6 @@ from convext.extension import (
     ConstantTooSmallError,
     ExtensionConfig,
     build_extension,
-    check_necessity,
     default_domain,
     verify_extension,
 )
@@ -23,7 +22,9 @@ from convext.jet import (
 from convext.lp import convex_combination_min
 from convext.modulus import HolderModulus, LinearModulus, ScaledModulus
 
+import oracles
 from conftest import normalized_jet, random_concave_table
+from oracles import check_necessity
 
 HALFSQ = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
 
@@ -46,7 +47,7 @@ class TestBuild:
     def test_single_point_parabola(self):
         model = parabola_model()
         xs = np.linspace(-2.5, 2.5, 41)[:, None]
-        assert np.allclose(model.value_many(xs), xs[:, 0] ** 2 / 2.0, atol=2e-3)
+        assert np.allclose(model.envelope.value_many(xs), xs[:, 0] ** 2 / 2.0, atol=2e-3)
 
     def test_auto_constant_and_interpolation(self):
         jet = two_point_power_jet(0.5)
@@ -57,8 +58,8 @@ class TestBuild:
         model = build_extension(jet, cfg)
         assert model.M == pytest.approx(2.0 / 3.0 ** 0.5, abs=1e-12)
         for t, v, g in [(-1.0, 2.0 / 3.0, -1.0), (1.0, 2.0 / 3.0, 1.0)]:
-            assert model.value([t]) == pytest.approx(v, abs=1e-9)
-            assert model.gradient([t])[0] == pytest.approx(g, abs=2e-2)
+            assert model.envelope.value([t]) == pytest.approx(v, abs=1e-9)
+            assert model.gradient_many([t])[0, 0] == pytest.approx(g, abs=2e-2)
 
     def test_capped_variant_matches_huber(self):
         cfg = ExtensionConfig(
@@ -77,7 +78,7 @@ class TestBuild:
             return t * t / 2.0
 
         xs = np.linspace(-3.0, 4.0, 141)
-        vals = model.lipschitz_value_many(xs[:, None])
+        vals = model.envelope.lipschitz_value_many(xs[:, None])
         assert np.allclose(vals, [huber(t) for t in xs], atol=5e-3)
 
     def test_infeasible_jet_raises(self):
@@ -100,19 +101,19 @@ class TestBuild:
 class TestGradient:
     def test_parabola_gradient(self):
         model = parabola_model()
-        assert model.gradient([1.0])[0] == pytest.approx(1.0, abs=1e-3)
+        assert model.gradient_many([1.0])[0, 0] == pytest.approx(1.0, abs=1e-3)
 
     def test_affine_gradient(self):
         jet = Jet([[-1.0], [1.0]], [-2.0, 4.0], [[3.0], [3.0]])
         model = build_extension(jet, ExtensionConfig(modulus=HolderModulus(0.5), M=1.0))
         for t in (-0.8, 0.0, 0.9):
-            assert model.gradient([t])[0] == pytest.approx(3.0, abs=1e-6)
+            assert model.gradient_many([t])[0, 0] == pytest.approx(3.0, abs=1e-6)
 
     def test_query_outside_the_box_raises(self):
         model = parabola_model()
-        model.gradient([2.999])
+        model.gradient_many([2.999])
         with pytest.raises(ValueError, match="outside the envelope domain"):
-            model.gradient([3.5])
+            model.gradient_many([3.5])
 
     MODULI = {
         "power": HolderModulus(0.4),
@@ -166,7 +167,7 @@ class TestVerify:
     def test_uncapped_slope_exceeds_L_far_out(self):
         # |grad F| keeps growing away from the jet, while F_L stays at L
         model = parabola_model(lipschitz=1.0)
-        g_far = abs(model.gradient([2.5])[0])
+        g_far = abs(model.gradient_many([2.5])[0, 0])
         assert g_far > 1.5
         rep = verify_extension(model, samples=3000, seed=7)
         assert rep.empirical_lip_F <= 1.0 * (1.0 + 5e-3)
@@ -205,15 +206,15 @@ class TestNecessity:
 
     def test_matches_a_loop_over_x(self, monkeypatch):
         # with M_hat = 0 most points x violate, so every field is compared
-        real = extension.verify_extension
-        monkeypatch.setattr(extension, "verify_extension", lambda *a, **kw: dataclasses.replace(
+        real = oracles.verify_extension
+        monkeypatch.setattr(oracles, "verify_extension", lambda *a, **kw: dataclasses.replace(
             real(*a, **kw), empirical_lip_omega_gradF=0.0))
         model, m = parabola_model(), LinearModulus()
         rep = check_necessity(model, samples=300, seed=4)
         rng, k, sp = np.random.default_rng(4), 10, model.grid_spacing()
         xs = extension._sample_interior(model, rng, k, pad=0.0)
         yz = extension._sample_interior(model, rng, k, pad=1.5 * model.default_step())
-        F, G = model.value_many(yz), model.gradient_many(yz)
+        F, G = model.envelope.value_many(yz), model.gradient_many(yz)
         expected, worst = [], []
         for x in xs:
             planes = F + np.einsum("jd,jd->j", G, x - yz)
@@ -290,6 +291,16 @@ class TestConfigResolution:
     def test_low_explicit_cap_warns(self):
         cfg = ExtensionConfig(modulus=LinearModulus(), M="auto", lipschitz=0.25)
         with pytest.warns(UserWarning, match="below sup"):
+            build_extension(HALFSQ, cfg)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lipschitz", -1.0), ("lipschitz", np.nan), ("lipschitz", np.inf),
+        ("smoothness_K", np.nan), ("smoothness_K", -2.0), ("smoothness_K", 0.0), ("smoothness_K", np.inf),
+        ("tol", np.nan), ("tol", -1.0),
+    ])
+    def test_bad_numeric_field_is_rejected_by_name(self, field, value):
+        cfg = ExtensionConfig(modulus=LinearModulus(), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got {value!r}$"):
             build_extension(HALFSQ, cfg)
 
     def test_smoothness_default_by_kind(self):

@@ -1,0 +1,54 @@
+"""Malformed input to the library raises, with a message that names the fault."""
+
+import numpy as np
+import pytest
+
+from convext.c1 import build_construction
+from convext.envelope import Generator, _as_points, build_envelope
+from convext.jet import Jet
+from convext.modulus import (
+    HolderModulus,
+    LinearModulus,
+    TableModulus,
+    modulus_from_json,
+    modulus_to_json,
+    validate_modulus,
+)
+
+HALFSQ = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
+PLANE = Jet([[0.0, 0.0], [1.0, 0.0]], [0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]])
+JET_JSON = {"dimension": 1, "points": [[0.0]], "values": [0.0], "gradients": [[0.0]]}
+
+CASES = {
+    "table-knot-shape": (lambda: TableModulus([0.0, 1.0]), ValueError, "knots must be an"),
+    "table-abscissae": (lambda: TableModulus([[0.0, 0.0], [1.0, 1.0], [1.0, 1.5]]), ValueError,
+                        "knot abscissae must be strictly increasing"),
+    "json-unknown-type": (lambda: modulus_from_json({"type": "gaussian"}), ValueError,
+                          "unknown modulus type 'gaussian'"),
+    "json-unknown-kind": (lambda: modulus_to_json(object()), TypeError, "cannot serialize modulus"),
+    "validate-empty-grid": (lambda: validate_modulus(HolderModulus(0.5), []), ValueError,
+                            "grid must be non-empty"),
+    "jet-3d-points": (lambda: Jet(np.zeros((2, 1, 1)), [0.0, 0.0], np.zeros((2, 1))), ValueError,
+                      r"points must form an \(n, d\) array"),
+    "jet-non-finite": (lambda: Jet([[0.0], [1.0]], [0.0, np.inf], [[0.0], [1.0]]), ValueError,
+                       "jet data must be finite"),
+    "jet-json-missing-key": (lambda: Jet.from_json({"dimension": 1, "points": [[0.0]]}), ValueError,
+                             "jet JSON is missing or malformed"),
+    "jet-json-dimension": (lambda: Jet.from_json(dict(JET_JSON, dimension=2)), ValueError,
+                           "points have dimension 1, expected 2"),
+    "points-width": (lambda: _as_points(np.zeros((3, 2)), 3), ValueError,
+                     r"expected points of dimension 3, got shape \(3, 2\)"),
+    "box-bound-count": (lambda: build_envelope(Generator(PLANE, LinearModulus(), 1.0), [-1.0], [2.0], 33),
+                        ValueError, "domain box must have 2 bounds per side"),
+    "box-degenerate": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [1.0], [1.0], 33),
+                       ValueError, "domain box is degenerate"),
+    "construction-t-grid": (lambda: build_construction(HALFSQ, t_grid=[0.5, 0.25]), ValueError,
+                            "t_grid must be positive and strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_malformed_input_raises(case):
+    call, error, message = CASES[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -14,7 +14,6 @@ from convext.jet import (
     pair_defects,
     seminorm_A_extrinsic,
     seminorm_A_intrinsic,
-    seminorm_relation_report,
     sup_norm_gradients,
 )
 from convext.fixtures import power_three_halves_grid_jet, two_point_power_jet
@@ -389,20 +388,20 @@ class TestSeminormRelation:
     def test_sharp_ratio_two_point_power(self):
         for alpha in (0.5, 1.0):
             jet = two_point_power_jet(alpha)
-            rep = seminorm_relation_report(jet, HolderModulus(alpha))
+            rep = feasibility_report(jet, HolderModulus(alpha)).relation
             expected = ((1.0 + alpha) / (2.0 * alpha)) ** alpha
             assert rep["ratio"] == pytest.approx(expected, abs=1e-12)
             assert rep["general_ok"] and rep["holder_ok"]
 
     def test_halfsq(self):
-        rep = seminorm_relation_report(HALFSQ, LinearModulus())
+        rep = feasibility_report(HALFSQ, LinearModulus()).relation
         assert rep["lip_omega_G"] == pytest.approx(1.0)
         assert rep["general_bound"] == pytest.approx(4.0 / 3.0)
         assert rep["general_ok"]
 
     def test_not_applicable_when_infeasible(self):
         jet = Jet([[0.0], [1.0]], [0.0, 0.0], [[0.0], [1.0]])
-        rep = seminorm_relation_report(jet, LinearModulus())
+        rep = feasibility_report(jet, LinearModulus()).relation
         assert not rep["applicable"]
 
     def test_bound_holds_over_random_suite(self):
@@ -413,7 +412,7 @@ class TestSeminormRelation:
             n = int(rng.integers(2, 7))
             jet = random_feasible_jet(rng, d, n)
             m = random_modulus(rng, kinds=("holder", "linear"))
-            rep = seminorm_relation_report(jet, m)
+            rep = feasibility_report(jet, m).relation
             assert rep["applicable"]
             assert rep["general_ok"], rep
             assert rep["holder_ok"], rep
