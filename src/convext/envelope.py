@@ -37,7 +37,6 @@ no (queries, pieces) temporary outgrows a fixed element budget.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 import numpy as np
 
@@ -156,8 +155,8 @@ def minorant(jet: Jet, X):
 
 def _as_points(X, d):
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(-1, d) if d > 1 else X.reshape(-1, 1)
+    if X.ndim == 1 and X.size % d == 0:
+        X = X.reshape(-1, d)
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"expected points of dimension {d}, got shape {X.shape}")
     return X
@@ -177,17 +176,6 @@ def _lower_hull(xs, ys):
     return np.asarray(hx), np.asarray(hy)
 
 
-def _warn_low_cap(jet: Jet, L: float, stacklevel: int):
-    """Warn when the cap L is below sup|G|: F_L then misses the jet."""
-    sup_g = sup_norm_gradients(jet)
-    if L < sup_g - 1e-12:
-        warnings.warn(
-            f"Lipschitz cap {L} is below sup|G| = {sup_g}; the capped "
-            "envelope will not interpolate the jet",
-            stacklevel=stacklevel,
-        )
-
-
 class EnvelopeModel:
     """Queryable convex envelope of a generator.
 
@@ -195,7 +183,8 @@ class EnvelopeModel:
     and interpolate the lower hull of g sampled there; in d >= 2 each is a
     certified conjugate solve of conv(g) over R^d, and the box only places
     ``grid_points``, the CSV rows, where nothing is evaluated up front.
-    ``lipschitz_cap`` records the L of the capped variant.
+    ``lipschitz_cap`` is the L of the capped variant F_L, fixed at build
+    (None: uncapped, and the ``lipschitz_*`` queries raise).
     """
 
     def __init__(self, generator, lo, hi, resolution, lipschitz_cap=None):
@@ -203,7 +192,7 @@ class EnvelopeModel:
         self.lo = np.asarray(lo, dtype=float).reshape(-1)
         self.hi = np.asarray(hi, dtype=float).reshape(-1)
         self.resolution = int(resolution)
-        self.lipschitz_cap = lipschitz_cap
+        self.lipschitz_cap = None if lipschitz_cap is None else float(lipschitz_cap)
         d = generator.jet.dimension
         self.dimension = d
 
@@ -278,16 +267,18 @@ class EnvelopeModel:
 
     # -- Lipschitz-capped evaluation
 
-    def lipschitz_value_many(self, X, L: Optional[float] = None) -> np.ndarray:
-        """F_L(x) = inf_y F(y) + L |x - y|, also under the name
-        ``lipschitz_values_grid``.
+    def lipschitz_value_many(self, X) -> np.ndarray:
+        """F_L(x) = inf_y F(y) + L |x - y| with L = ``lipschitz_cap``, also
+        under the name ``lipschitz_values_grid``; ValueError without a cap.
 
         d = 1 is exact by slope clipping: F_L* = F* + indicator[-L, L], so
         F_L follows the hull from the first vertex a with right slope >= -L
         to the last vertex b with left slope <= L, with slope -L left of a
         and +L right of b.  d >= 2 is the conjugate solve over |s| <= L.
         """
-        L = self._resolve_cap(L)
+        L = self.lipschitz_cap
+        if L is None:
+            raise ValueError("no Lipschitz cap configured: pass lipschitz_cap to build_envelope")
         X = _as_points(X, self.dimension)
         if self.dimension > 1:
             return convex_combination_min(self.generator, X, L)[0]
@@ -300,19 +291,8 @@ class EnvelopeModel:
 
     lipschitz_values_grid = lipschitz_value_many
 
-    def lipschitz_value(self, x, L: Optional[float] = None) -> float:
-        return float(self.lipschitz_value_many(np.asarray(x, dtype=float).reshape(1, -1), L)[0])
-
-    def _resolve_cap(self, L):
-        """The supplied cap, with a warning when it is below sup|G|, or the
-        configured one, which ``build_extension`` warns about once."""
-        if L is None:
-            if self.lipschitz_cap is None:
-                raise ValueError("no Lipschitz cap configured and none supplied")
-            return float(self.lipschitz_cap)
-        L = float(L)
-        _warn_low_cap(self.generator.jet, L, stacklevel=4)
-        return L
+    def lipschitz_value(self, x) -> float:
+        return float(self.lipschitz_value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
 
 def _dual_domain_empty(generator: Generator) -> bool:
@@ -336,14 +316,16 @@ def _dual_domain_empty(generator: Generator) -> bool:
     return r2 > (generator.radius / scale) ** 2 + 1e-8
 
 
-def build_envelope(generator: Generator, lo, hi, resolution: int) -> EnvelopeModel:
-    """Sample the generator over the box [lo, hi] and build its envelope.
+def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=None) -> EnvelopeModel:
+    """Sample the generator over the box [lo, hi] and build its envelope,
+    capped at ``lipschitz_cap`` when one is given.
 
     The box must contain the jet points; resolution is per axis and at least
     33; dimensions above 3 are not supported.  In d = 1 the hull lives on the
     box, so a margin below the jet diameter warns: hull facets near the
-    boundary would distort values near the jet.  Raises ValueError when the
-    conjugate domains share no point (M = 0 with unequal gradients, or
+    boundary would distort values near the jet.  A cap below sup|G| warns
+    here, once per model: F_L then misses the jet.  Raises ValueError when
+    the conjugate domains share no point (M = 0 with unequal gradients, or
     disjoint balls of a bounded modulus), where conv(g) is -inf.
     """
     jet = generator.jet
@@ -375,12 +357,20 @@ def build_envelope(generator: Generator, lo, hi, resolution: int) -> EnvelopeMod
                 f"diameter {diam:.3g}; envelope values near the jet may be distorted",
                 stacklevel=2,
             )
-    return EnvelopeModel(generator, lo, hi, resolution)
+    model = EnvelopeModel(generator, lo, hi, resolution, lipschitz_cap)
+    L, sup_g = model.lipschitz_cap, sup_norm_gradients(jet)
+    if L is not None and L < sup_g - 1e-12:
+        warnings.warn(
+            f"Lipschitz cap {L} is below sup|G| = {sup_g}; the capped "
+            "envelope will not interpolate the jet",
+            stacklevel=2,
+        )
+    return model
 
 
-def write_samples_csv(model: EnvelopeModel, path, lipschitz: Optional[float] = None):
-    """Write grid samples as CSV: x1..xd, g, m, F, and F_L when ``lipschitz``
-    is given or the model has a configured cap."""
+def write_samples_csv(model: EnvelopeModel, path):
+    """Write grid samples as CSV: x1..xd, g, m, F, and F_L when the model
+    was built with a cap."""
     jet = model.generator.jet
     d = model.dimension
     if d == 1:
@@ -393,8 +383,8 @@ def write_samples_csv(model: EnvelopeModel, path, lipschitz: Optional[float] = N
     F = model.grid_envelope_values()
     cols = [X[:, k] for k in range(d)] + [g, m_vals, F]
     header = [f"x{k + 1}" for k in range(d)] + ["g", "m", "F"]
-    if lipschitz is not None or model.lipschitz_cap is not None:
-        cols.append(model.lipschitz_values_grid(X, lipschitz))
+    if model.lipschitz_cap is not None:
+        cols.append(model.lipschitz_values_grid(X))
         header.append("F_L")
     fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:

@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .envelope import Generator, _warn_low_cap, build_envelope
+from .envelope import Generator, build_envelope
 from .jet import Jet, _A, _defects, _verdict, sup_norm_gradients
 from .modulus import Modulus
 
@@ -174,12 +174,9 @@ def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
                 "generator would cut below the prescribed values"
             )
 
-    L = None
-    if cfg.lipschitz == "auto":
-        L = sup_norm_gradients(jet)
-    elif cfg.lipschitz is not None:
-        L = float(cfg.lipschitz)
-        _warn_low_cap(jet, L, stacklevel=3)
+    L = cfg.lipschitz
+    if L is not None:
+        L = sup_norm_gradients(jet) if L == "auto" else float(L)
 
     if cfg.domain is None:
         lo, hi = default_domain(jet)
@@ -191,8 +188,7 @@ def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
     K = cfg.smoothness_K if cfg.smoothness_K is not None else default_smoothness_constant(cfg.modulus)
 
     generator = Generator(jet, cfg.modulus, M)
-    envelope = build_envelope(generator, lo, hi, resolution)
-    envelope.lipschitz_cap = L
+    envelope = build_envelope(generator, lo, hi, resolution, L)
     return ExtensionModel(jet, envelope, cfg.modulus, M, A, L, K, cfg.tol)
 
 

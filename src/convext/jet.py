@@ -199,19 +199,19 @@ class Jet:
     @staticmethod
     def from_json(obj) -> "Jet":
         try:
-            d = int(obj["dimension"])
-            pts = np.asarray(obj["points"], dtype=float)
-            vals = np.asarray(obj["values"], dtype=float)
-            grads = np.asarray(obj["gradients"], dtype=float)
+            raw = {key: obj[key] for key in ("dimension", "points", "values", "gradients")}
         except (KeyError, TypeError) as exc:
             raise ValueError(f"jet JSON is missing or malformed: {exc}") from exc
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if grads.ndim == 1:
-            grads = grads[:, None]
-        if pts.size and pts.shape[1] != d:
-            raise ValueError(f"points have dimension {pts.shape[1]}, expected {d}")
-        return Jet(pts, vals, grads)
+        for key, value in raw.items():
+            try:
+                raw[key] = int(value) if key == "dimension" else np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"jet JSON field {key!r} is not numeric: {exc}") from exc
+        d, pts, vals, grads = raw.values()
+        jet = Jet(pts, vals, grads)
+        if jet.dimension != d:
+            raise ValueError(f"points have dimension {jet.dimension}, expected {d}")
+        return jet
 
 
 def pair_defects(jet: Jet):

@@ -84,6 +84,20 @@ class TestValidate:
         assert code == 2
         assert capsys.readouterr().err == "input error: jet data must be finite\n"
 
+    @pytest.mark.parametrize("field, value", [
+        ("dimension", '"x"'), ("points", '[["a"]]'), ("values", '["a"]'), ("gradients", '[["a"]]'),
+    ])
+    def test_non_numeric_field_is_input_error(self, tmp_path, capsys, field, value):
+        fields = {"dimension": "1", "points": "[[0.0]]", "values": "[0.0]", "gradients": "[[0.0]]"}
+        fields[field] = value
+        path = tmp_path / "text.json"
+        path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+        code = main(["validate", str(path), "--modulus", "linear"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: jet JSON field '{field}' is not numeric: ")
+        assert err.count("\n") == 1
+
     def test_malformed_json_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"dimension": 1,')

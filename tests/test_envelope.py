@@ -152,58 +152,62 @@ class TestBuildEnvelope1D:
 class TestLipschitzEnvelope1D:
     def test_huber_values(self):
         gen = Generator(single_parabola_jet(), LinearModulus(), 1.0)
-        model = build_envelope(gen, [-3.0], [3.0], 4001)
-        assert model.lipschitz_value([2.0], 1.0) == pytest.approx(1.5, abs=5e-3)
-        assert model.lipschitz_value([0.5], 1.0) == pytest.approx(0.125, abs=5e-3)
+        model = build_envelope(gen, [-3.0], [3.0], 4001, lipschitz_cap=1.0)
+        assert model.lipschitz_value([2.0]) == pytest.approx(1.5, abs=5e-3)
+        assert model.lipschitz_value([0.5]) == pytest.approx(0.125, abs=5e-3)
 
     def test_equals_envelope_where_slopes_small(self):
         gen = Generator(single_parabola_jet(), LinearModulus(), 1.0)
-        model = build_envelope(gen, [-3.0], [3.0], 4001)
+        model = build_envelope(gen, [-3.0], [3.0], 4001, lipschitz_cap=1.0)
         xs = np.linspace(-0.9, 0.9, 40)[:, None]
-        assert np.allclose(model.lipschitz_value_many(xs, 1.0), model.value_many(xs), atol=1e-12)
+        assert np.allclose(model.lipschitz_value_many(xs), model.value_many(xs), atol=1e-12)
 
     def test_lipschitz_property(self, rng):
         gen = example_generator()
-        model = build_envelope(gen, [-5.0], [5.0], 2001)
         L = 1.0
+        model = build_envelope(gen, [-5.0], [5.0], 2001, lipschitz_cap=L)
         x = rng.uniform(-5, 5, size=(1000, 1))
         y = rng.uniform(-5, 5, size=(1000, 1))
-        fx = model.lipschitz_value_many(x, L)
-        fy = model.lipschitz_value_many(y, L)
+        fx = model.lipschitz_value_many(x)
+        fy = model.lipschitz_value_many(y)
         gap = np.abs(fx - fy) - L * np.abs(x - y)[:, 0]
         assert np.max(gap) <= 1e-9
 
     def test_below_envelope(self, rng):
         gen = example_generator()
-        model = build_envelope(gen, [-5.0], [5.0], 2001)
+        model = build_envelope(gen, [-5.0], [5.0], 2001, lipschitz_cap=1.0)
         x = rng.uniform(-5, 5, size=(500, 1))
-        assert np.all(model.lipschitz_value_many(x, 1.0) <= model.value_many(x) + 1e-12)
+        assert np.all(model.lipschitz_value_many(x) <= model.value_many(x) + 1e-12)
 
     def test_midpoint_convexity(self, rng):
         gen = example_generator()
-        model = build_envelope(gen, [-5.0], [5.0], 2001)
+        model = build_envelope(gen, [-5.0], [5.0], 2001, lipschitz_cap=1.0)
         x = rng.uniform(-5, 5, size=(1000, 1))
         y = rng.uniform(-5, 5, size=(1000, 1))
-        mid = model.lipschitz_value_many((x + y) / 2.0, 1.0)
-        ends = (model.lipschitz_value_many(x, 1.0) + model.lipschitz_value_many(y, 1.0)) / 2.0
+        mid = model.lipschitz_value_many((x + y) / 2.0)
+        ends = (model.lipschitz_value_many(x) + model.lipschitz_value_many(y)) / 2.0
         assert np.all(mid <= ends + 1e-9)
 
     def test_low_cap_warns(self):
         gen = example_generator()
-        model = build_envelope(gen, [-5.0], [5.0], 201)
         with pytest.warns(UserWarning, match="below sup"):
-            model.lipschitz_value([0.0], 0.5)
+            model = build_envelope(gen, [-5.0], [5.0], 201, lipschitz_cap=0.5)
+        model.lipschitz_value([0.0])
 
     def test_slope_clipping_matches_vertex_minimum(self, rng):
         """The exact cap equals min(min_k y_k + L|x - x_k|, F(x)) bit for bit."""
         for n in (2, 3, 5, 8):
             jet = normalized_jet(rng, 1, n, HolderModulus(0.5))
-            model = build_envelope(Generator(jet, HolderModulus(0.5), 1.0), *_box(jet), 1001)
+            gen = Generator(jet, HolderModulus(0.5), 1.0)
+            model = build_envelope(gen, *_box(jet), 1001)
             hx, hy = model.hull_x, model.hull_y
             slopes = np.diff(hy) / np.diff(hx)
             sup_g = sup_norm_gradients(jet)
             caps = (0.0, 0.5 * sup_g, sup_g, 2.0 * sup_g, 2.0 * np.max(np.abs(slopes)))
             for L in caps:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    model = build_envelope(gen, *_box(jet), 1001, lipschitz_cap=L)
                 a = np.searchsorted(slopes, -L)
                 b = np.searchsorted(slopes, L, side="right")
                 near = hx[[a, b]][:, None] + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3])
@@ -212,19 +216,29 @@ class TestLipschitzEnvelope1D:
                 ]), model.lo[0], model.hi[0])
                 trav = hy[None, :] + L * np.abs(x[:, None] - hx[None, :])
                 expected = np.minimum(np.min(trav, axis=1), np.interp(x, hx, hy))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    got = model.lipschitz_value_many(x[:, None], L)
-                    grid = model.lipschitz_values_grid(x[:, None], L)
+                got = model.lipschitz_value_many(x[:, None])
+                grid = model.lipschitz_values_grid(x[:, None])
                 assert np.array_equal(got, expected)
                 assert np.array_equal(grid, expected)
 
     def test_capped_bulk_warns_once_per_call(self):
-        model = build_envelope(example_generator(), [-5.0], [5.0], 201)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            model.lipschitz_values_grid(np.zeros((3, 1)), 0.5)
+            model = build_envelope(example_generator(), [-5.0], [5.0], 201, lipschitz_cap=0.5)
+            model.lipschitz_values_grid(np.zeros((3, 1)))
         assert len(caught) == 1
+
+    def test_low_cap_warns_once_per_model(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = build_envelope(example_generator(), [-5.0], [5.0], 201, lipschitz_cap=0.5)
+            model.lipschitz_value_many(np.zeros((3, 1)))
+            model.lipschitz_value_many(np.ones((2, 1)))
+            write_samples_csv(model, tmp_path / "capped.csv")
+        assert [str(w.message) for w in caught] == [
+            f"Lipschitz cap 0.5 is below sup|G| = {sup_norm_gradients(model.generator.jet)}; "
+            "the capped envelope will not interpolate the jet"
+        ]
 
 
 class TestSmoothnessTransfer:
@@ -234,8 +248,8 @@ class TestSmoothnessTransfer:
     def test_midpoint_inequality(self, rng, capped):
         jet = normalized_jet(rng, 1, 5, HolderModulus(0.5))
         gen = Generator(jet, HolderModulus(0.5), 1.0)
-        model = build_envelope(gen, *_box(jet), 4001)
         cap = sup_norm_gradients(jet)
+        model = build_envelope(gen, *_box(jet), 4001, lipschitz_cap=cap)
         K, M = 2.0 ** 0.5, 1.0
         m = HolderModulus(0.5)
         sp = model.grid_spacing()
@@ -249,7 +263,7 @@ class TestSmoothnessTransfer:
         keep = (a >= lo) & (a <= hi) & (b >= lo) & (b <= hi)
         z, h, lam, a, b = z[keep], h[keep], lam[keep], a[keep], b[keep]
         if capped:
-            ev = lambda t: model.lipschitz_value_many(t[:, None], cap)
+            ev = lambda t: model.lipschitz_value_many(t[:, None])
         else:
             ev = lambda t: model.value_many(t[:, None])
         lhs = lam * ev(a) + (1 - lam) * ev(b) - ev(z)
@@ -267,9 +281,9 @@ class TestEnvelope2D:
     def test_paraboloid(self):
         jet = Jet([[0.0, 0.0]], [0.0], [[0.0, 0.0]])
         gen = Generator(jet, LinearModulus(), 1.0)
-        model = build_envelope(gen, [-2.0, -2.0], [2.0, 2.0], 41)
+        model = build_envelope(gen, [-2.0, -2.0], [2.0, 2.0], 41, lipschitz_cap=1.0)
         assert model.value([1.0, 0.5]) == pytest.approx(0.625, abs=1e-6)
-        assert model.lipschitz_value([1.5, 0.0], 1.0) == pytest.approx(1.0, abs=1e-3)
+        assert model.lipschitz_value([1.5, 0.0]) == pytest.approx(1.0, abs=1e-3)
 
     def test_interpolation_and_sandwich(self, rng):
         jet = normalized_jet(rng, 2, 4, LinearModulus(), spread=0.8)
@@ -314,10 +328,10 @@ class TestEnvelope2D:
     def test_3d_paraboloid(self):
         jet = Jet([[0.0, 0.0, 0.0]], [0.0], [[0.0, 0.0, 0.0]])
         gen = Generator(jet, LinearModulus(), 1.0)
-        model = build_envelope(gen, [-2.0] * 3, [2.0] * 3, 33)
+        model = build_envelope(gen, [-2.0] * 3, [2.0] * 3, 33, lipschitz_cap=1.0)
         x = np.array([1.0, 0.5, -0.25])
         assert model.value(x) == pytest.approx(float(np.sum(x**2)) / 2.0, abs=5e-3)
-        assert model.lipschitz_value([1.5, 0.0, 0.0], 1.0) == pytest.approx(1.0, abs=5e-3)
+        assert model.lipschitz_value([1.5, 0.0, 0.0]) == pytest.approx(1.0, abs=5e-3)
 
     def test_dimension_cap(self):
         jet = Jet(np.zeros((1, 4)), [0.0], np.zeros((1, 4)))
@@ -776,18 +790,17 @@ class TestBoxIndependence:
         lo, hi = jet.points.min(axis=0), jet.points.max(axis=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tight = build_envelope(gen, lo, hi, 33)
-        wide = build_envelope(gen, lo - 5.0, hi + 5.0, 65)
+            tight = build_envelope(gen, lo, hi, 33, lipschitz_cap=1.0)
+        wide = build_envelope(gen, lo - 5.0, hi + 5.0, 65, lipschitz_cap=1.0)
         X = np.vstack([rng.uniform(lo, hi, size=(200, 2)), jet.points])
         assert np.array_equal(tight.value_many(X), wide.value_many(X))
-        assert np.array_equal(tight.lipschitz_value_many(X, 1.0), wide.lipschitz_value_many(X, 1.0))
+        assert np.array_equal(tight.lipschitz_value_many(X), wide.lipschitz_value_many(X))
 
 
 class TestCsvExport:
     def test_columns_and_determinism(self, tmp_path):
         gen = Generator(single_parabola_jet(), LinearModulus(), 1.0)
-        model = build_envelope(gen, [-3.0], [3.0], 201)
-        model.lipschitz_cap = 1.0
+        model = build_envelope(gen, [-3.0], [3.0], 201, lipschitz_cap=1.0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_samples_csv(model, p1)
         write_samples_csv(model, p2)
@@ -807,9 +820,9 @@ class TestCsvExport:
     def test_2d_export(self, tmp_path):
         jet = Jet([[0.0, 0.0]], [0.0], [[0.0, 0.0]])
         gen = Generator(jet, LinearModulus(), 1.0)
-        model = build_envelope(gen, [-1.5, -1.5], [1.5, 1.5], 33)
+        model = build_envelope(gen, [-1.5, -1.5], [1.5, 1.5], 33, lipschitz_cap=1.0)
         path = tmp_path / "d2.csv"
-        write_samples_csv(model, path, lipschitz=1.0)
+        write_samples_csv(model, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x1,x2,g,m,F,F_L"
         assert len(lines) == 1 + 33 * 33

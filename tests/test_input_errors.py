@@ -36,8 +36,20 @@ CASES = {
                              "jet JSON is missing or malformed"),
     "jet-json-dimension": (lambda: Jet.from_json(dict(JET_JSON, dimension=2)), ValueError,
                            "points have dimension 1, expected 2"),
+    "jet-json-dimension-text": (lambda: Jet.from_json(dict(JET_JSON, dimension="x")), ValueError,
+                                "jet JSON field 'dimension' is not numeric"),
+    "jet-json-points-text": (lambda: Jet.from_json(dict(JET_JSON, points=[["a"]])), ValueError,
+                             "jet JSON field 'points' is not numeric"),
+    "jet-json-values-text": (lambda: Jet.from_json(dict(JET_JSON, values=["a"])), ValueError,
+                             "jet JSON field 'values' is not numeric"),
+    "jet-json-gradients-text": (lambda: Jet.from_json(dict(JET_JSON, gradients=[[{}]])), ValueError,
+                                "jet JSON field 'gradients' is not numeric"),
     "points-width": (lambda: _as_points(np.zeros((3, 2)), 3), ValueError,
                      r"expected points of dimension 3, got shape \(3, 2\)"),
+    "points-flat-size": (lambda: _as_points([1.0, 2.0], 3), ValueError,
+                         r"expected points of dimension 3, got shape \(2,\)"),
+    "no-cap-configured": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [-2.0], [3.0], 33)
+                          .lipschitz_value_many([0.5]), ValueError, "no Lipschitz cap configured"),
     "box-bound-count": (lambda: build_envelope(Generator(PLANE, LinearModulus(), 1.0), [-1.0], [2.0], 33),
                         ValueError, "domain box must have 2 bounds per side"),
     "box-degenerate": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [1.0], [1.0], 33),
