@@ -11,8 +11,8 @@ one from the data:
   s the gradient gap: the witness direction aligns with the gradient gap
   and the optimal witness distance is t itself.  Each term increases in s
   and decreases in c, so the maximum runs over the Pareto front of the
-  pairs (``jet._pareto_pairs``) only, as the verdict builds it once
-  condition (C) holds.
+  pairs (``jet._pareto_pairs``) only, which the verdict builds in its one
+  pass over the pairs.
 * ``delta1(t) = inf_{0<s<1} delta(s) + (2 L / s) t``: a concave,
   non-decreasing upper envelope of delta.  In u = 1/s,
   ``h(u) = delta(1/u) = max(0, max_k s_k - c_k u)`` is convex and

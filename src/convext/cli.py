@@ -123,7 +123,7 @@ def cmd_constants(args) -> int:
     verdict = _verdict(jet, args.tol)
     A_extrinsic = _A_extrinsic(verdict, modulus)
     A = _A_intrinsic(verdict, modulus)[0] if modulus.coercive else A_extrinsic
-    rel = _relation(verdict, modulus, A)
+    rel = _relation(jet, modulus, A)
     _emit_json({
         "L": sup_norm_gradients(jet),
         "A_intrinsic": _json_float(A) if modulus.coercive else None,

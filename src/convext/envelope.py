@@ -321,12 +321,13 @@ def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=
     capped at ``lipschitz_cap`` when one is given.
 
     The box must contain the jet points; resolution is per axis and at least
-    33; dimensions above 3 are not supported.  In d = 1 the hull lives on the
-    box, so a margin below the jet diameter warns: hull facets near the
-    boundary would distort values near the jet.  A cap below sup|G| warns
-    here, once per model: F_L then misses the jet.  Raises ValueError when
-    the conjugate domains share no point (M = 0 with unequal gradients, or
-    disjoint balls of a bounded modulus), where conv(g) is -inf.
+    33; dimensions above 3 are not supported; a cap must be finite and >= 0.
+    In d = 1 the hull lives on the box, so a margin below the jet diameter
+    warns: hull facets near the boundary would distort values near the jet.
+    A cap below sup|G| warns here, once per model: F_L then misses the jet.
+    Raises ValueError when the conjugate domains share no point (M = 0 with
+    unequal gradients, or disjoint balls of a bounded modulus), where
+    conv(g) is -inf.
     """
     jet = generator.jet
     d = jet.dimension
@@ -340,6 +341,8 @@ def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=
         raise ValueError("resolution must be at least 33 points per axis")
     if d > 3:
         raise ValueError("envelopes are only computed for dimension <= 3")
+    if lipschitz_cap is not None and not (np.isfinite(lipschitz_cap) and lipschitz_cap >= 0):
+        raise ValueError(f"lipschitz_cap must be finite and >= 0, got {lipschitz_cap!r}")
     margin_lo = np.min(jet.points - lo[None, :])
     margin_hi = np.min(hi[None, :] - jet.points)
     if min(margin_lo, margin_hi) < -1e-12:

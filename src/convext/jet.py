@@ -19,8 +19,7 @@ pairs with s > 0 that no other pair dominates.  On dense jets the front
 holds O(n) pairs.  Before its exact sort, the kernel drops the pairs that
 a bucket of strictly larger s proves strictly dominated, so on such jets
 only a thin candidate set is sorted.  The least constant A below and the
-c1 construction's delta and delta1 are evaluated on the front only, which
-a verdict builds at most once and only where condition (C) holds.
+c1 construction's delta and delta1 are evaluated on the front only.
 
 * ``seminorm_A_*``: the least constant M such that every tangent plane,
   lifted by M * phi(|x - y|), dominates every other tangent plane.  The
@@ -32,25 +31,27 @@ a verdict builds at most once and only where condition (C) holds.
 * ``sup_norm_gradients``: L = sup |G|, the sharp Lipschitz constant of any
   convex extension.
 
-One rule, ``_verdict``, decides both conditions from one pass over the
-pairs, and A = +inf exactly when one of them fails.  Infeasibility is
-reported as A = +inf, never as an exception, except where an operation
-cannot even be posed (see ``InfeasibleJetError`` users).
+One rule, ``_verdict``, decides both conditions and builds the front in
+one pass over row blocks of the pairs; the front of a union is the front
+of the block fronts.  A = +inf exactly when a condition fails.
+Infeasibility is reported as A = +inf, never as an exception, except where
+an operation cannot even be posed (see ``InfeasibleJetError`` users).
 
 Every tangent plane f_k + <G_k, x - p_k> and every distance in the package
 is formed in difference form by ``_planes`` and ``_pairwise_dist``, one
 axis at a time with no (n, n, d) temporary, so nothing depends on the
 origin: a plane is exactly f_k at p_k and a distance exactly 0 at p_k.
-Every kernel of queries against the n pieces runs on row blocks of
-``_blocks``, at most ``_BUDGET`` rows times pieces at a time.  A jet may
-not repeat a point exactly; close but distinct points are pairs like any
-other, and the verdict decides them.
+Every kernel of queries against the n pieces, the pair passes of the
+verdict and of ``lip_omega_gradients`` among them, runs on row blocks of
+``_blocks``, at most ``_BUDGET`` rows times pieces at a time; of the jet's
+pairs, only ``pair_defects`` forms n x n arrays.  A jet may not repeat a
+point exactly; close but distinct points are pairs like any other, and the
+verdict decides them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -231,11 +232,12 @@ def _defects(P, f, G):
 def _pareto_pairs(C, S):
     """The ordered pairs (i, j, c, s) on the Pareto front of (c, s).
 
-    c = max(C, 0) and s = S are taken from ``pair_defects``.  Pair B is
+    c = max(C, 0) and s = S are rows of ``pair_defects`` (a row block of the
+    verdict), or one row of block fronts that the verdict merges.  Pair B is
     dominated by pair A when s_A >= s_B and c_A <= c_B with (c_A, s_A) !=
     (c_B, s_B): every constant computed from the pairs is then at least as
     large at A as at B.  Pairs with s = 0 never decide one, and exact ties
-    are all kept.  The arrays come back in (y, z) row-major order.
+    are all kept.  The arrays come back in row-major order of (C, S).
 
     A prefilter first drops pairs that are strictly dominated.  The pairs
     go into about sqrt(N) equal-width buckets of s; the bucket index
@@ -294,38 +296,42 @@ class _Verdict:
     condition_C: ConditionReport
     condition_CW1: ConditionReport
     error: Optional[InfeasibleJetError]     # names the first failing condition
-    C: np.ndarray
-    S: np.ndarray
-    D: np.ndarray
-
-    @cached_property
-    def front(self):
-        """``_pareto_pairs(C, S)``, built on first use; read only where (C) holds."""
-        return _pareto_pairs(self.C, self.S)
+    front: tuple                            # ``_pareto_pairs`` of all pairs, (i, j, c, s)
 
 
-def _condition(mask, residual):
-    i, j = np.nonzero(mask)
-    return ConditionReport(ok=i.size == 0, violations=list(zip(i.tolist(), j.tolist(), residual[i, j].tolist())))
+def _verdict_rows(jet: Jet, tol: float, rows):
+    """The verdict on the ordered pairs (y, z) with y in rows: its (C) and
+    (CW1) violations (i, j, residual) in row-major order, and its front."""
+    P, f, G = jet.points, jet.values, jet.gradients
+    C = f[rows, None] - _planes(P, f, G, P[rows])
+    S = _pairwise_dist(G[rows], G)
+    below = C < -tol * (1.0 + np.abs(f[rows, None]) + np.abs(f[None, :]))
+    below[np.arange(len(rows)), rows] = False
+    ci, cj = np.nonzero(below)
+    wi, wj = np.nonzero((C <= 0.0) & (S > 0.0) & ~below)
+    fi, fj, fc, fs = _pareto_pairs(C, S)
+    return rows[ci], cj, C[ci, cj], rows[wi], wj, S[wi, wj], rows[fi], fj, fc, fs
 
 
 def _verdict(jet: Jet, tol: float) -> _Verdict:
-    """Decide (C) and (CW1) from one ``pair_defects`` pass.
+    """Decide (C) and (CW1), and build the Pareto front, in one blocked pass.
 
     With slack = tol (1 + |f(y)| + |f(z)|), an ordered pair violates (C)
     when C < -slack (residual C) and (CW1) when -slack <= C <= 0 and S > 0
     (residual S).  Every other pair with S > 0 has c = C > 0, so both routes
-    to A are finite exactly when neither condition fails.
+    to A are finite exactly when neither condition fails.  The front of a
+    union is the front of the block fronts, which ``_pareto_pairs`` merges.
     """
-    C, S, D = pair_defects(jet)
-    f = np.abs(jet.values)
-    below = C < -tol * (1.0 + f[:, None] + f[None, :])
-    np.fill_diagonal(below, False)
-    cond_c = _condition(below, C)
-    cond_cw1 = _condition((C <= 0.0) & (S > 0.0) & ~below, S)
+    n = jet.size
+    ci, cj, cr, wi, wj, wr, *front = _blocks(lambda rows: _verdict_rows(jet, tol, rows), n, np.arange(n))
+    if n * n > _BUDGET:     # more than one block
+        _, k, c, s = _pareto_pairs(front[2][None, :], front[3][None, :])
+        front = [front[0][k], front[1][k], c, s]
+    cond_c, cond_cw1 = (ConditionReport(ok=i.size == 0, violations=list(zip(i.tolist(), j.tolist(), r.tolist())))
+                        for i, j, r in ((ci, cj, cr), (wi, wj, wr)))
     failed = [InfeasibleJetError(name, cond.violations)
               for name, cond in (("condition_C", cond_c), ("condition_CW1", cond_cw1)) if not cond.ok]
-    return _Verdict(cond_c, cond_cw1, failed[0] if failed else None, C, S, D)
+    return _Verdict(cond_c, cond_cw1, failed[0] if failed else None, tuple(front))
 
 
 def check_condition_C(jet: Jet, tol: float = 1e-9) -> ConditionReport:
@@ -427,27 +433,21 @@ def compute_A(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
     return _A(_verdict(jet, feas_tol), m)
 
 
-def _lip_omega(S, D, m: Modulus) -> float:
-    """max over pairs of S / omega(D); 0 for one point."""
-    iu = np.triu_indices(len(S), k=1)
-    s, d = S[iu], D[iu]
-    w = m.omega(d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(s == 0.0, 0.0, s / w)
-    return float(np.max(ratios, initial=0.0))
-
-
 def lip_omega_gradients(jet: Jet, m: Modulus) -> float:
     """max over pairs of |G(y) - G(z)| / omega(|y - z|); 0 for one point."""
-    return _lip_omega(*pair_defects(jet)[1:], m)
+    def rows(X, H):
+        s, w = _pairwise_dist(H, jet.gradients), m.omega(_pairwise_dist(X, jet.points))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.max(np.where(s == 0.0, 0.0, s / w), axis=1)
+    return float(np.max(_blocks(rows, jet.size, jet.points, jet.gradients)))
 
 
 def sup_norm_gradients(jet: Jet) -> float:
     return float(np.max(np.sqrt(np.sum(jet.gradients**2, axis=1))))
 
 
-def _relation(v: _Verdict, m: Modulus, A: float) -> dict:
-    lip = _lip_omega(v.S, v.D, m)
+def _relation(jet: Jet, m: Modulus, A: float) -> dict:
+    lip = lip_omega_gradients(jet, m)
     if not np.isfinite(A):
         return {"applicable": False, "A": A, "lip_omega_G": lip}
     out = {
@@ -506,7 +506,7 @@ def feasibility_report(jet: Jet, m: Modulus, tol: float = 1e-9) -> FeasibilityRe
     else:
         A, per_pair = _A_extrinsic(v, m), []
         route = "extrinsic"
-    rel = _relation(v, m, A)
+    rel = _relation(jet, m, A)
     return FeasibilityReport(
         condition_C=v.condition_C,
         condition_CW1=v.condition_CW1,

@@ -337,8 +337,8 @@ class TestOneVerdict:
 @pytest.mark.parametrize("command, passes", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 2)])
 def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, command, passes):
     calls = []
-    original = jet.pair_defects
-    monkeypatch.setattr(jet, "pair_defects", lambda j: calls.append(1) or original(j))
+    original = jet._verdict_rows
+    monkeypatch.setattr(jet, "_verdict_rows", lambda *a: calls.append(1) or original(*a))
     argv = [command, halfsq_file] + (["--modulus", "linear"] if command != "c1" else [])
     main(argv + (["--samples", "100"] if command in ("extend", "c1") else []))
     assert len(calls) == passes
@@ -459,7 +459,8 @@ class TestReport:
 
 
 class TestExtendMemory:
-    """extend without --out samples no grid, and its (rows, pieces) kernels run in blocks."""
+    """extend without --out samples no grid, and its (rows, pieces) kernels, the pair pass
+    of every command among them, run in blocks."""
 
     def _jet_file(self, tmp_path, n, d, seed):
         rng = np.random.default_rng(seed)
@@ -469,20 +470,29 @@ class TestExtendMemory:
         path.write_text(json.dumps(Jet(pts, value(pts), grad(pts)).to_json()))
         return str(path)
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
-    def test_peak_rss_of_a_large_3d_extend(self, tmp_path):
-        # at n = 2000 the dense 33^3 x n generator samples alone took 2.4 GB
-        path = self._jet_file(tmp_path, 2000, 3, 1)
+    def _peak_rss_mb(self, tmp_path, argv):
+        """Max RSS of ``convext <argv>`` run in a child process, which must exit 0."""
         src = str(Path(convext.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "convext.cli", "extend", path, "--modulus", "holder:0.5",
-                "--report", str(tmp_path / "report.json")]
+        argv = [sys.executable, "-m", "convext.cli", *argv, "--report", str(tmp_path / "report.json")]
         with open(tmp_path / "stderr.txt", "wb") as err:
             child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
             _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)     # reaped by wait4
         assert child.returncode == 0, (tmp_path / "stderr.txt").read_text()
-        assert usage.ru_maxrss / 1024 < 600       # KiB to MiB
+        return usage.ru_maxrss / 1024       # KiB to MiB
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_of_a_large_3d_extend(self, tmp_path):
+        # at n = 2000 the dense 33^3 x n generator samples alone took 2.4 GB
+        path = self._jet_file(tmp_path, 2000, 3, 1)
+        assert self._peak_rss_mb(tmp_path, ["extend", path, "--modulus", "holder:0.5"]) < 600
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_of_a_large_2d_validate(self, tmp_path):
+        # the verdict's dense n x n pair matrices alone took 280 MB
+        path = self._jet_file(tmp_path, 2000, 2, 1)
+        assert self._peak_rss_mb(tmp_path, ["validate", path, "--modulus", "holder:0.5"]) < 150
 
     def test_2d_extend_samples_the_grid_only_for_the_csv(self, tmp_path, monkeypatch):
         path = self._jet_file(tmp_path, 6, 2, 5)

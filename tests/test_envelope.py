@@ -12,7 +12,14 @@ from convext.envelope import (
     write_samples_csv,
 )
 from convext.fixtures import single_parabola_jet, two_point_power_jet
-from convext.jet import Jet, compute_A, seminorm_A_intrinsic, sup_norm_gradients
+from convext.jet import (
+    Jet,
+    compute_A,
+    feasibility_report,
+    lip_omega_gradients,
+    seminorm_A_intrinsic,
+    sup_norm_gradients,
+)
 from convext.lp import CertificationError, convex_combination_min
 from convext.modulus import HolderModulus, LinearModulus, ScaledModulus, TableModulus
 
@@ -860,7 +867,12 @@ class TestRowBlocks:
         jet1 = random_feasible_jet(rng, 1, 40)
         model1 = build_envelope(Generator(jet1, m, 1.5 * compute_A(jet1, m)), [-4.0], [4.0], 401)
         X1 = np.linspace(-4.0, 4.0, 300)[:, None]
+        concave = Jet(jet2.points, -jet2.values, -jet2.gradients)    # fails (C) in every block
         return [
+            lambda: feasibility_report(jet2, m).to_json(),
+            lambda: feasibility_report(concave, m).to_json(),
+            lambda: compute_A(jet2, m),
+            lambda: lip_omega_gradients(jet2, m),
             lambda: gen2.value_many(X2),
             lambda: minorant(jet2, X2),
             lambda: jet2.diameter(),
@@ -891,7 +903,8 @@ class TestRowBlocks:
         monkeypatch.setattr(jet, "_BUDGET", self.BUDGET)
         monkeypatch.setattr(Generator, "_pieces", spy_pieces)
         monkeypatch.setattr(envelope, "_planes", spy_planes)
-        monkeypatch.setattr(jet, "_pairwise_dist", spy_dist)     # Jet.diameter
+        monkeypatch.setattr(jet, "_planes", spy_planes)          # the verdict
+        monkeypatch.setattr(jet, "_pairwise_dist", spy_dist)     # Jet.diameter, the pair pass
         for run, expected in zip(evaluations, whole):
             got = run()
             pairs = zip(got, expected) if isinstance(got, tuple) else [(got, expected)]

@@ -50,6 +50,12 @@ CASES = {
                          r"expected points of dimension 3, got shape \(2,\)"),
     "no-cap-configured": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [-2.0], [3.0], 33)
                           .lipschitz_value_many([0.5]), ValueError, "no Lipschitz cap configured"),
+    "cap-nan": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [-2.0], [3.0], 33,
+                                       lipschitz_cap=np.nan), ValueError, "lipschitz_cap must be finite"),
+    "cap-inf": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [-2.0], [3.0], 33,
+                                       lipschitz_cap=np.inf), ValueError, "lipschitz_cap must be finite"),
+    "cap-negative": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [-2.0], [3.0], 33,
+                                            lipschitz_cap=-1.0), ValueError, "lipschitz_cap must be finite"),
     "box-bound-count": (lambda: build_envelope(Generator(PLANE, LinearModulus(), 1.0), [-1.0], [2.0], 33),
                         ValueError, "domain box must have 2 bounds per side"),
     "box-degenerate": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [1.0], [1.0], 33),
