@@ -270,7 +270,7 @@ def _add_build(p):
                    help="box as lo1 hi1 [lo2 hi2 ...]; default: jet box +/- max(1, 2 diam)")
     p.add_argument("--resolution", type=int, default=None, help="grid points per axis")
     p.add_argument("--samples", type=_number(int, lambda v: v >= 0, ">= 0"), default=2000,
-                   help="verification sample count")
+                   help="least number of verification sample pairs (at least 40 points are drawn)")
     p.add_argument("--seed", type=int, default=0, help="verification RNG seed")
     p.add_argument("--K", type=_number(float, lambda v: v > 0, "> 0"), default=None,
                    help="override the midpoint-smoothness constant")

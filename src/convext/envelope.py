@@ -294,6 +294,26 @@ class EnvelopeModel:
     def lipschitz_value(self, x) -> float:
         return float(self.lipschitz_value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
+    def _value_and_lipschitz(self, X, solved=None):
+        """(F, F_L) at the rows of X, with ``solved`` = (F, grad F) there if
+        already known.
+
+        d >= 2: where the uncapped maximizer has |s*| <= L it is feasible
+        for the capped problem, and F_L <= F, so F_L = F with the same
+        bracket; only the other rows take the capped solve.  d = 1:
+        ``value_many`` and ``lipschitz_values_grid``.
+        """
+        X = _as_points(X, self.dimension)
+        if self.dimension == 1:
+            F = self.value_many(X) if solved is None else solved[0]
+            return F, self.lipschitz_values_grid(X)
+        F, S = convex_combination_min(self.generator, X) if solved is None else solved
+        F_L = F.copy()
+        far = np.flatnonzero(np.sqrt(np.sum(S * S, axis=1)) > self.lipschitz_cap)
+        if far.size:
+            F_L[far] = self.lipschitz_values_grid(X[far])
+        return F, F_L
+
 
 def _dual_domain_empty(generator: Generator) -> bool:
     """Whether the balls |s - G_k| <= radius share no point (conv(g) = -inf).
@@ -373,7 +393,7 @@ def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=
 
 def write_samples_csv(model: EnvelopeModel, path):
     """Write grid samples as CSV: x1..xd, g, m, F, and F_L when the model
-    was built with a cap."""
+    was built with a cap (in d >= 2, F itself where |s*| <= L)."""
     jet = model.generator.jet
     d = model.dimension
     if d == 1:
@@ -383,12 +403,13 @@ def write_samples_csv(model: EnvelopeModel, path):
         X = model.grid_points
         g = model.generator.value_many(X)
     m_vals = minorant(jet, X)
-    F = model.grid_envelope_values()
-    cols = [X[:, k] for k in range(d)] + [g, m_vals, F]
     header = [f"x{k + 1}" for k in range(d)] + ["g", "m", "F"]
-    if model.lipschitz_cap is not None:
-        cols.append(model.lipschitz_values_grid(X))
+    if model.lipschitz_cap is None:
+        env = [model.grid_envelope_values()]
+    else:
+        env = list(model._value_and_lipschitz(X))
         header.append("F_L")
+    cols = [X[:, k] for k in range(d)] + [g, m_vals] + env
     fmt = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

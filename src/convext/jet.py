@@ -296,12 +296,13 @@ class _Verdict:
     condition_C: ConditionReport
     condition_CW1: ConditionReport
     error: Optional[InfeasibleJetError]     # names the first failing condition
-    front: tuple                            # ``_pareto_pairs`` of all pairs, (i, j, c, s)
+    front: tuple                            # ``_pareto_pairs`` of all pairs, (i, j, c, s); partial once (C) fails
 
 
 def _verdict_rows(jet: Jet, tol: float, rows):
     """The verdict on the ordered pairs (y, z) with y in rows: its (C) and
-    (CW1) violations (i, j, residual) in row-major order, and its front."""
+    (CW1) violations (i, j, residual) in row-major order, and its front,
+    which is left empty where (C) fails: no reader takes it then."""
     P, f, G = jet.points, jet.values, jet.gradients
     C = f[rows, None] - _planes(P, f, G, P[rows])
     S = _pairwise_dist(G[rows], G)
@@ -309,7 +310,11 @@ def _verdict_rows(jet: Jet, tol: float, rows):
     below[np.arange(len(rows)), rows] = False
     ci, cj = np.nonzero(below)
     wi, wj = np.nonzero((C <= 0.0) & (S > 0.0) & ~below)
-    fi, fj, fc, fs = _pareto_pairs(C, S)
+    if ci.size:
+        fi = fj = np.zeros(0, dtype=np.intp)
+        fc = fs = np.zeros(0)
+    else:
+        fi, fj, fc, fs = _pareto_pairs(C, S)
     return rows[ci], cj, C[ci, cj], rows[wi], wj, S[wi, wj], rows[fi], fj, fc, fs
 
 
@@ -324,7 +329,7 @@ def _verdict(jet: Jet, tol: float) -> _Verdict:
     """
     n = jet.size
     ci, cj, cr, wi, wj, wr, *front = _blocks(lambda rows: _verdict_rows(jet, tol, rows), n, np.arange(n))
-    if n * n > _BUDGET:     # more than one block
+    if n * n > _BUDGET and ci.size == 0:    # more than one block, and (C) holds
         _, k, c, s = _pareto_pairs(front[2][None, :], front[3][None, :])
         front = [front[0][k], front[1][k], c, s]
     cond_c, cond_cw1 = (ConditionReport(ok=i.size == 0, violations=list(zip(i.tolist(), j.tolist(), r.tolist())))

@@ -167,6 +167,30 @@ class TestExtend:
         payload = json.loads(report.read_text())
         assert payload["verification"]["ok"] is True
 
+    def test_zero_samples_still_measure_the_cap(self, halfsq_file, capsys):
+        # the sample set never has fewer than 40 points, so the cap is measured
+        code = main(["extend", halfsq_file, "--modulus", "linear", "--lipschitz", "auto", "--samples", "0"])
+        assert code == 0
+        verification = json.loads(capsys.readouterr().out)["verification"]
+        assert abs(verification["empirical_lip_F"] - 1.0) <= 5e-3
+
+    def test_flat_domain_still_measures_the_seminorms(self, tmp_path, capsys):
+        # 1.5 fd_step exceeds the half-width of the z side, yet the seminorm
+        # checks still get points, and the report stays strict JSON
+        P = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(Jet(P, np.sum(P * P, axis=1) / 2.0, P).to_json()))
+        code = main(["extend", str(path), "--modulus", "linear", "--lipschitz", "auto",
+                     "--domain", "-3", "3", "-3", "3", "-1", "1", "--resolution", "33"])
+        assert code == 0
+        out = capsys.readouterr().out
+        report = json.loads(out, parse_constant=lambda c: pytest.fail(f"non-finite {c} in the report"))
+        verification = report["verification"]
+        assert verification["context"]["fd_step"] * 1.5 > 1.0
+        measured = {c["name"]: c["measured"] for c in verification["bound_checks"]}
+        for name in ("empirical_A_vs_bound", "empirical_lip_grad_vs_bound", "necessity_A_le_lip_grad"):
+            assert np.isfinite(measured[name]) and measured[name] > 0.0
+
     def test_deterministic_outputs(self, halfsq_file, tmp_path):
         outs = []
         for tag in ("a", "b"):
@@ -353,6 +377,20 @@ def test_pareto_fronts_per_command(halfsq_file, monkeypatch, capsys, command, fr
     argv = [command, halfsq_file] + (["--modulus", "linear"] if command != "c1" else [])
     main(argv + (["--samples", "100"] if command in ("extend", "c1") else []))
     assert len(calls) == fronts
+
+
+def test_no_fronts_where_condition_C_fails(tmp_path, monkeypatch, capsys):
+    # a concave jet fails (C) in every row block, and nothing reads a front then
+    monkeypatch.setattr(jet, "_BUDGET", 24)     # blocks of two rows
+    t = np.linspace(-1.0, 1.0, 12)
+    path = tmp_path / "concave.json"
+    path.write_text(json.dumps(Jet(t, -t ** 2 / 2.0, -t).to_json()))
+    calls = []
+    original = jet._pareto_pairs
+    monkeypatch.setattr(jet, "_pareto_pairs", lambda C, S: calls.append(1) or original(C, S))
+    assert main(["validate", str(path), "--modulus", "linear"]) == 1
+    assert calls == []
+
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_translated_jet_gives_the_same_results(tmp_path, capsys, d):

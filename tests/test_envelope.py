@@ -839,6 +839,29 @@ class TestCsvExport:
         assert np.all(data[:, 5] <= data[:, 4] + 1e-9)   # F_L <= F
         assert np.all(data[:, 3] <= data[:, 4] + 1e-7)   # m <= F
 
+    def test_2d_capped_column_reuses_the_uncapped_solve(self, tmp_path, monkeypatch):
+        # F_L = F where |s*| <= L; only the other rows take a capped solve
+        rng = np.random.default_rng(21)
+        value, grad = random_convex_function(rng, 2)
+        P = rng.uniform(-1.0, 1.0, (6, 2))
+        jet, m = Jet(P, value(P), grad(P)), HolderModulus(0.75)
+        L = sup_norm_gradients(jet)
+        model = build_envelope(Generator(jet, m, compute_A(jet, m)), *_box(jet), 33, lipschitz_cap=L)
+        X = model.grid_points
+        _, S = convex_combination_min(model.generator, X)
+        near = np.sqrt(np.sum(S * S, axis=1)) <= L
+        assert 0 < np.sum(near) < len(X)
+        capped, original = [], lp.convex_combination_min
+        monkeypatch.setattr("convext.envelope.convex_combination_min",
+                            lambda gen, Q, L=None: (L is not None and capped.append(Q.copy())) or original(gen, Q, L))
+        write_samples_csv(model, tmp_path / "capped.csv")
+        assert len(capped) == 1 and np.array_equal(capped[0], X[~near])
+        data = np.loadtxt(tmp_path / "capped.csv", delimiter=",", skiprows=1)
+        g, F, F_L = data[:, 2], data[:, 4], data[:, 5]
+        assert np.array_equal(F_L[near], F[near])
+        reference = original(model.generator, X, L)[0]
+        assert np.all(np.abs(F_L - reference) <= lp.TOL * (1.0 + np.abs(g)))
+
 
 class TestDegenerateModuli:
     def test_flat_zero_table_extrinsic(self):

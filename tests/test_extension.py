@@ -172,6 +172,19 @@ class TestVerify:
         rep = verify_extension(model, samples=3000, seed=7)
         assert rep.empirical_lip_F <= 1.0 * (1.0 + 5e-3)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_raised_cap_fails_the_upper_check(self, d):
+        # an F_L built at 1.1 L under a model that promises L
+        m = HolderModulus(0.75)
+        jet = normalized_jet(np.random.default_rng(40 + d), d, 4, m, spread=0.6)
+        model = build_extension(jet, ExtensionConfig(modulus=m, lipschitz="auto"))
+        env = model.envelope
+        model.envelope = build_envelope(env.generator, env.lo, env.hi, env.resolution, 1.1 * model.L)
+        rep = verify_extension(model, samples=2000, seed=1)
+        check = {c.name: c for c in rep.bound_checks}["lipschitz_cap_upper"]
+        assert not check.passed and not rep.ok
+        assert check.measured >= 1.05 * model.L
+
     def test_holder_alpha_one_factors_are_one(self):
         jet = two_point_power_jet(1.0)
         model = build_extension(jet, ExtensionConfig(modulus=HolderModulus(1.0), M="auto"))
