@@ -19,6 +19,7 @@ seed, outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -121,9 +122,9 @@ def cmd_constants(args) -> int:
     jet = _load_jet(args.jet)
     modulus = parse_modulus_spec(args.modulus)
     verdict = _verdict(jet, args.tol)
-    A_extrinsic = _A_extrinsic(verdict, modulus)
+    A_extrinsic = _A_extrinsic(verdict, modulus)[0]
     A = _A_intrinsic(verdict, modulus)[0] if modulus.coercive else A_extrinsic
-    rel = _relation(jet, modulus, A)
+    rel = _relation(modulus, A, lip_omega_gradients(jet, modulus))
     _emit_json({
         "L": sup_norm_gradients(jet),
         "A_intrinsic": _json_float(A) if modulus.coercive else None,
@@ -278,7 +279,9 @@ def _add_build(p):
     p.add_argument("--gnuplot", action="store_true", help="also write a gnuplot script next to the CSV")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="convext",
         description="Convex differentiable extension of 1-jets with sharp Lipschitz constants",

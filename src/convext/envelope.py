@@ -340,8 +340,9 @@ def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=
     """Sample the generator over the box [lo, hi] and build its envelope,
     capped at ``lipschitz_cap`` when one is given.
 
-    The box must contain the jet points; resolution is per axis and at least
-    33; dimensions above 3 are not supported; a cap must be finite and >= 0.
+    The box must be finite and contain the jet points; resolution is per
+    axis and at least 33; dimensions above 3 are not supported; a cap must
+    be finite and >= 0.
     In d = 1 the hull lives on the box, so a margin below the jet diameter
     warns: hull facets near the boundary would distort values near the jet.
     A cap below sup|G| warns here, once per model: F_L then misses the jet.
@@ -355,6 +356,8 @@ def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=
     hi = np.asarray(hi, dtype=float).reshape(-1)
     if lo.shape != (d,) or hi.shape != (d,):
         raise ValueError(f"domain box must have {d} bounds per side")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"domain box must be finite, got lo {lo.tolist()} and hi {hi.tolist()}")
     if np.any(hi <= lo):
         raise ValueError("domain box is degenerate")
     if resolution < 33:

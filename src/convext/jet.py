@@ -44,9 +44,11 @@ origin: a plane is exactly f_k at p_k and a distance exactly 0 at p_k.
 Every kernel of queries against the n pieces, the pair passes of the
 verdict and of ``lip_omega_gradients`` among them, runs on row blocks of
 ``_blocks``, at most ``_BUDGET`` rows times pieces at a time; of the jet's
-pairs, only ``pair_defects`` forms n x n arrays.  A jet may not repeat a
-point exactly; close but distinct points are pairs like any other, and the
-verdict decides them.
+pairs, only ``pair_defects`` forms n x n arrays.  Reports list at most
+``_KEEP`` pairs per condition and ``_KEEP`` pair constants, the worst and
+the largest, beside the totals, so their size does not grow with n.  A jet
+may not repeat a point exactly; close but distinct points are pairs like
+any other, and the verdict decides them.
 """
 
 from __future__ import annotations
@@ -76,6 +78,8 @@ __all__ = [
 
 
 _BUDGET = 2 ** 18            # rows times columns of one block of a kernel
+_KEEP = 10                   # violations per condition, and pair constants, that a report lists
+_SHOWN = 5                   # violating pairs that an InfeasibleJetError names
 
 
 def _blocks(fn, columns, *arrays):
@@ -90,6 +94,16 @@ def _blocks(fn, columns, *arrays):
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p) for p in zip(*parts))
     return np.concatenate(parts)
+
+
+def _least(key, keep):
+    """Indices of the ``keep`` least entries of key, ties going to the earlier
+    index, in increasing order; every index when keep is None or covers key."""
+    if keep is None or key.size <= keep:
+        return np.arange(key.size)
+    cut = np.partition(key, keep - 1)[keep - 1]
+    near = np.flatnonzero(key <= cut)
+    return np.sort(near[np.argsort(key[near], kind="stable")[:keep]])
 
 
 def _pairwise_dist(X, P):
@@ -120,15 +134,20 @@ class InfeasibleJetError(Exception):
     """A jet fails a condition required by the requested operation.
 
     ``condition`` names the failing check, "condition_C" or
-    "condition_CW1", and ``pairs`` lists its offending (i, j, residual)
-    triples, as the check reports them.
+    "condition_CW1", ``pairs`` lists the offending (i, j, residual) triples
+    that the check reports, and ``count`` the offending pairs in all.  The
+    message names the pairs of ``first`` (default: ``pairs``), which should
+    be the first offending pairs in row-major order, and the count of the
+    rest.
     """
 
-    def __init__(self, condition, pairs):
+    def __init__(self, condition, pairs, count=None, first=None):
         self.condition = condition
         self.pairs = list(pairs)
-        shown = ", ".join(f"({i},{j})" for i, j, _ in self.pairs[:5])
-        more = "" if len(self.pairs) <= 5 else f" and {len(self.pairs) - 5} more"
+        self.count = len(self.pairs) if count is None else count
+        first = [(i, j) for i, j, _ in self.pairs] if first is None else first
+        shown = ", ".join(f"({i},{j})" for i, j in first[:_SHOWN])
+        more = "" if self.count <= _SHOWN else f" and {self.count - _SHOWN} more"
         super().__init__(f"jet violates {condition} at pairs {shown}{more}")
 
 
@@ -249,39 +268,60 @@ def _pareto_pairs(C, S):
     the dropped pairs change no survivor's verdict, and the exact sort
     below runs on the survivors only.
     """
+    # the merge holds every pair of a dense jet, so temporaries are freed as they go
     flat = np.flatnonzero(S > 0.0)
     c, s = np.maximum(C.ravel()[flat], 0.0), S.ravel()[flat]
     lo, hi = np.min(s, initial=np.inf), np.max(s, initial=0.0)
     if hi > lo:
         B = int(np.sqrt(s.size))
-        bucket = np.clip(np.floor((s - lo) / (hi - lo) * B), 0, B - 1).astype(np.intp)
+        bucket = s - lo
+        bucket /= hi - lo
+        bucket *= B
+        bucket = np.clip(np.floor(bucket, out=bucket), 0, B - 1, out=bucket).astype(np.intp)
         least = np.full(B + 1, np.inf)
         np.minimum.at(least, bucket, c)
         above = np.minimum.accumulate(least[::-1])[::-1][1:]    # least c of the higher buckets
         keep = c <= above[bucket]
-        flat, c, s = flat[keep], c[keep], s[keep]
+        del bucket
+        flat = flat[keep]
+        c = c[keep]
+        s = s[keep]
     order = np.lexsort((c, -s))          # s descending, then c ascending
     cs, ss = c[order], s[order]
     n = len(order)
     head = np.ones(n, dtype=bool)        # first of a run of exact ties
     head[1:] = (cs[1:] != cs[:-1]) | (ss[1:] != ss[:-1])
+    del ss
     lower = np.ones(n, dtype=bool)       # c below every c sorted before it
     lower[1:] = cs[1:] < np.minimum.accumulate(cs)[:-1]
+    del cs
     # a run head is on the front when it is lower; its ties share the verdict
-    start = np.maximum.accumulate(np.where(head, np.arange(n), 0))
-    keep = np.sort(order[lower[start]])
+    start = np.where(head, np.arange(n), 0)
+    keep = order[lower[np.maximum.accumulate(start, out=start)]]
+    del order, start
+    keep.sort()
     i, j = np.divmod(flat[keep], C.shape[1])
     return i, j, c[keep], s[keep]
 
 
 @dataclass
 class ConditionReport:
+    """A condition's verdict: ``violations`` lists (i, j, residual) of its
+    worst offending pairs in row-major order, and ``count`` the offending
+    pairs in all (default: the length of the list)."""
+
     ok: bool
-    violations: list = field(default_factory=list)   # (i, j, residual)
+    violations: list = field(default_factory=list)
+    count: Optional[int] = None
+
+    def __post_init__(self):
+        if self.count is None:
+            self.count = len(self.violations)
 
     def to_json(self):
         return {
             "ok": self.ok,
+            "count": self.count,
             "violations": [
                 {"y": int(i), "z": int(j), "residual": float(r)}
                 for i, j, r in self.violations
@@ -299,10 +339,18 @@ class _Verdict:
     front: tuple                            # ``_pareto_pairs`` of all pairs, (i, j, c, s); partial once (C) fails
 
 
-def _verdict_rows(jet: Jet, tol: float, rows):
-    """The verdict on the ordered pairs (y, z) with y in rows: its (C) and
-    (CW1) violations (i, j, residual) in row-major order, and its front,
-    which is left empty where (C) fails: no reader takes it then."""
+def _found(i, j, r, key, keep):
+    """One condition's offending pairs (i, j, residual r), in row-major order,
+    cut to what a verdict keeps: their count, the ``keep`` worst (least key),
+    and the first ``_SHOWN`` (copied: a view would keep all of i and j)."""
+    w = _least(key, keep)
+    return np.array([i.size]), i[w], j[w], r[w], i[:_SHOWN].copy(), j[:_SHOWN].copy()
+
+
+def _verdict_rows(jet: Jet, tol: float, keep, rows):
+    """The verdict on the ordered pairs (y, z) with y in rows: ``_found`` of
+    its (C) and of its (CW1) violations, and its front, which is left empty
+    where (C) fails: no reader takes it then."""
     P, f, G = jet.points, jet.values, jet.gradients
     C = f[rows, None] - _planes(P, f, G, P[rows])
     S = _pairwise_dist(G[rows], G)
@@ -315,10 +363,12 @@ def _verdict_rows(jet: Jet, tol: float, rows):
         fc = fs = np.zeros(0)
     else:
         fi, fj, fc, fs = _pareto_pairs(C, S)
-    return rows[ci], cj, C[ci, cj], rows[wi], wj, S[wi, wj], rows[fi], fj, fc, fs
+    c, s = C[ci, cj], S[wi, wj]
+    return (*_found(rows[ci], cj, c, c, keep), *_found(rows[wi], wj, s, -s, keep),
+            rows[fi], fj, fc, fs)
 
 
-def _verdict(jet: Jet, tol: float) -> _Verdict:
+def _verdict(jet: Jet, tol: float, keep=_KEEP) -> _Verdict:
     """Decide (C) and (CW1), and build the Pareto front, in one blocked pass.
 
     With slack = tol (1 + |f(y)| + |f(z)|), an ordered pair violates (C)
@@ -326,17 +376,27 @@ def _verdict(jet: Jet, tol: float) -> _Verdict:
     (residual S).  Every other pair with S > 0 has c = C > 0, so both routes
     to A are finite exactly when neither condition fails.  The front of a
     union is the front of the block fronts, which ``_pareto_pairs`` merges.
+    Each condition report keeps its ``keep`` worst violations (most negative
+    C, largest S; all of them when keep is None), chosen among the block
+    winners, and the count of all.
     """
     n = jet.size
-    ci, cj, cr, wi, wj, wr, *front = _blocks(lambda rows: _verdict_rows(jet, tol, rows), n, np.arange(n))
-    if n * n > _BUDGET and ci.size == 0:    # more than one block, and (C) holds
+    parts = _blocks(lambda rows: _verdict_rows(jet, tol, keep, rows), n, np.arange(n))
+    front = list(parts[12:])
+    if n * n > _BUDGET and parts[1].size == 0:     # more than one block, and (C) holds
         _, k, c, s = _pareto_pairs(front[2][None, :], front[3][None, :])
         front = [front[0][k], front[1][k], c, s]
-    cond_c, cond_cw1 = (ConditionReport(ok=i.size == 0, violations=list(zip(i.tolist(), j.tolist(), r.tolist())))
-                        for i, j, r in ((ci, cj, cr), (wi, wj, wr)))
-    failed = [InfeasibleJetError(name, cond.violations)
-              for name, cond in (("condition_C", cond_c), ("condition_CW1", cond_cw1)) if not cond.ok]
-    return _Verdict(cond_c, cond_cw1, failed[0] if failed else None, tuple(front))
+    conds, failed = [], None
+    for name, (count, i, j, r, fi, fj), sign in (("condition_C", parts[:6], 1.0),
+                                                  ("condition_CW1", parts[6:12], -1.0)):
+        w = _least(sign * r, keep)
+        cond = ConditionReport(ok=i.size == 0, violations=list(zip(i[w].tolist(), j[w].tolist(), r[w].tolist())),
+                               count=int(count.sum()))
+        if failed is None and not cond.ok:
+            failed = InfeasibleJetError(name, cond.violations, cond.count,
+                                        list(zip(fi.tolist(), fj.tolist())))
+        conds.append(cond)
+    return _Verdict(*conds, failed, tuple(front))
 
 
 def check_condition_C(jet: Jet, tol: float = 1e-9) -> ConditionReport:
@@ -372,27 +432,35 @@ def _pair_ratios(c, s, m: Modulus):
 
 
 def _A_intrinsic(v: _Verdict, m: Modulus):
-    """(A, per_pair) of the intrinsic route on a verdict's pairs."""
+    """(A, i, j, M) of the intrinsic route on a verdict's pairs: the front
+    pairs (i, j) with a positive constant M, in row-major order.  A = inf,
+    with no pairs, when a condition fails."""
     if v.error:
-        return np.inf, [((i, j), np.inf) for i, j, _ in v.error.pairs]
+        return np.inf, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
     ii, jj, c, s = v.front
     M = _pair_constants(c, s, m)
     pos = M > 0.0
-    per_pair = list(zip(zip(ii[pos].tolist(), jj[pos].tolist()), M[pos].tolist()))
-    return float(np.max(M, initial=0.0)), per_pair
+    return float(np.max(M, initial=0.0)), ii[pos], jj[pos], M[pos]
 
 
-def _A_extrinsic(v: _Verdict, m: Modulus) -> float:
-    """A by the extrinsic route on a verdict's pairs."""
+def _A_extrinsic(v: _Verdict, m: Modulus):
+    """(A, pair) by the extrinsic route on a verdict's pairs: pair is the first
+    front pair in row-major order whose ratio is A, None where A is 0 or a
+    condition fails."""
     if v.error:
-        return np.inf
-    _, _, c, s = v.front
-    return float(np.max(_pair_ratios(c, s, m), initial=0.0))
+        return np.inf, None
+    ii, jj, c, s = v.front
+    ratios = _pair_ratios(c, s, m)
+    A = float(np.max(ratios, initial=0.0))
+    if not A > 0.0:
+        return A, None
+    k = int(np.argmax(ratios))
+    return A, (int(ii[k]), int(jj[k]))
 
 
 def _A(v: _Verdict, m: Modulus) -> float:
     """A by the cheapest valid route."""
-    return _A_intrinsic(v, m)[0] if m.coercive else _A_extrinsic(v, m)
+    return _A_intrinsic(v, m)[0] if m.coercive else _A_extrinsic(v, m)[0]
 
 
 def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
@@ -417,7 +485,11 @@ def seminorm_A_intrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9):
             "the pairwise route needs an increasing unbounded modulus; "
             "use seminorm_A_extrinsic instead"
         )
-    return _A_intrinsic(_verdict(jet, feas_tol), m)
+    v = _verdict(jet, feas_tol, keep=None)
+    if v.error:
+        return np.inf, [((i, j), np.inf) for i, j, _ in v.error.pairs]
+    A, ii, jj, M = _A_intrinsic(v, m)
+    return A, list(zip(zip(ii.tolist(), jj.tolist()), M.tolist()))
 
 
 def seminorm_A_extrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
@@ -430,7 +502,7 @@ def seminorm_A_extrinsic(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
     increases in s and decreases in c), floored at 0.  Works for bounded
     moduli too; +inf when condition (C) or (CW1) fails at feas_tol.
     """
-    return _A_extrinsic(_verdict(jet, feas_tol), m)
+    return _A_extrinsic(_verdict(jet, feas_tol), m)[0]
 
 
 def compute_A(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
@@ -438,21 +510,30 @@ def compute_A(jet: Jet, m: Modulus, feas_tol: float = 1e-9) -> float:
     return _A(_verdict(jet, feas_tol), m)
 
 
-def lip_omega_gradients(jet: Jet, m: Modulus) -> float:
-    """max over pairs of |G(y) - G(z)| / omega(|y - z|); 0 for one point."""
+def _lip_omega(jet: Jet, m: Modulus):
+    """(lip, pair): ``lip_omega_gradients`` and the first pair in row-major
+    order that attains it, None where it is 0."""
     def rows(X, H):
         s, w = _pairwise_dist(H, jet.gradients), m.omega(_pairwise_dist(X, jet.points))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.max(np.where(s == 0.0, 0.0, s / w), axis=1)
-    return float(np.max(_blocks(rows, jet.size, jet.points, jet.gradients)))
+            q = np.where(s == 0.0, 0.0, s / w)
+        k = np.argmax(q, axis=1)
+        return q[np.arange(len(q)), k], k
+    best, col = _blocks(rows, jet.size, jet.points, jet.gradients)
+    y = int(np.argmax(best))
+    return float(best[y]), ((y, int(col[y])) if best[y] != 0.0 else None)
+
+
+def lip_omega_gradients(jet: Jet, m: Modulus) -> float:
+    """max over pairs of |G(y) - G(z)| / omega(|y - z|); 0 for one point."""
+    return _lip_omega(jet, m)[0]
 
 
 def sup_norm_gradients(jet: Jet) -> float:
     return float(np.max(np.sqrt(np.sum(jet.gradients**2, axis=1))))
 
 
-def _relation(jet: Jet, m: Modulus, A: float) -> dict:
-    lip = lip_omega_gradients(jet, m)
+def _relation(m: Modulus, A: float, lip: float) -> dict:
     if not np.isfinite(A):
         return {"applicable": False, "A": A, "lip_omega_G": lip}
     out = {
@@ -471,8 +552,21 @@ def _relation(jet: Jet, m: Modulus, A: float) -> dict:
     return out
 
 
+def _pair_json(pair):
+    return None if pair is None else {"y": pair[0], "z": pair[1]}
+
+
 @dataclass
 class FeasibilityReport:
+    """Every jet-level check for one modulus.  ``per_pair_M`` lists ((i, j), M)
+    for the largest pair constants, in descending M with ties in (i, j)
+    order, so its first pair attains A; ``per_pair_M_count`` counts all
+    front pairs with M > 0.  On an infeasible jet the list holds the pairs of
+    the first failing condition's report with M = inf, and the count all of
+    that condition's pairs.  ``A_pair`` and ``lip_omega_G_pair`` name a pair
+    attaining A and lip_omega_G, None where the value is 0 or, for A, where a
+    condition fails."""
+
     condition_C: ConditionReport
     condition_CW1: ConditionReport
     A: float
@@ -481,6 +575,9 @@ class FeasibilityReport:
     lip_omega_G: float
     L: float
     relation: dict
+    per_pair_M_count: int
+    A_pair: Optional[tuple]
+    lip_omega_G_pair: Optional[tuple]
 
     @property
     def feasible(self) -> bool:
@@ -493,10 +590,13 @@ class FeasibilityReport:
             "condition_CW1": self.condition_CW1.to_json(),
             "A": _json_float(self.A),
             "A_route": self.A_route,
+            "A_pair": _pair_json(self.A_pair),
             "per_pair_M": [
                 {"y": i, "z": j, "M": _json_float(M)} for (i, j), M in self.per_pair_M
             ],
+            "per_pair_M_count": self.per_pair_M_count,
             "lip_omega_G": _json_float(self.lip_omega_G),
+            "lip_omega_G_pair": _pair_json(self.lip_omega_G_pair),
             "L": self.L,
             "relation": {k: _json_float(v) for k, v in self.relation.items()},
         }
@@ -505,20 +605,28 @@ class FeasibilityReport:
 def feasibility_report(jet: Jet, m: Modulus, tol: float = 1e-9) -> FeasibilityReport:
     """Run every jet-level check for the given modulus and bundle the results."""
     v = _verdict(jet, tol)
-    if m.coercive:
-        A, per_pair = _A_intrinsic(v, m)
-        route = "intrinsic"
+    if not m.coercive:
+        (A, A_pair), per_pair, count = _A_extrinsic(v, m), [], 0
+    elif v.error:
+        A, A_pair, count = np.inf, None, v.error.count
+        per_pair = [((i, j), np.inf) for i, j, _ in v.error.pairs]
     else:
-        A, per_pair = _A_extrinsic(v, m), []
-        route = "extrinsic"
-    rel = _relation(jet, m, A)
+        A, ii, jj, M = _A_intrinsic(v, m)
+        top = _least(-M, _KEEP)
+        top = top[np.argsort(-M[top], kind="stable")]
+        per_pair = list(zip(zip(ii[top].tolist(), jj[top].tolist()), M[top].tolist()))
+        A_pair, count = (per_pair[0][0] if per_pair else None), M.size
+    lip, lip_pair = _lip_omega(jet, m)
     return FeasibilityReport(
         condition_C=v.condition_C,
         condition_CW1=v.condition_CW1,
         A=A,
-        A_route=route,
+        A_route="intrinsic" if m.coercive else "extrinsic",
         per_pair_M=per_pair,
-        lip_omega_G=rel["lip_omega_G"],
+        lip_omega_G=lip,
         L=sup_norm_gradients(jet),
-        relation=rel,
+        relation=_relation(m, A, lip),
+        per_pair_M_count=count,
+        A_pair=A_pair,
+        lip_omega_G_pair=lip_pair,
     )

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import convext
-from convext import c1, jet
+from convext import c1, cli, jet
 from convext.cli import EXIT_INTERNAL, main
 from convext.envelope import Generator
 from convext.extension import ExtensionConfig, build_extension
@@ -105,6 +106,45 @@ class TestValidate:
         assert code == 2
         err = capsys.readouterr().err
         assert "line" in err
+
+    def test_report_names_the_maximizing_pairs(self, tmp_path):
+        # the two ordered pairs tie exactly in A and in lip_omega_G; the first is named
+        report, flat = tmp_path / "rep.json", tmp_path / "flat.json"
+        flat.write_text(json.dumps({"type": "table", "knots": [[0, 0], [1, 1], [3, 1]]}))
+        for modulus, route in (("holder:0.5", "intrinsic"), (f"table:{flat}", "extrinsic")):
+            argv = ["validate", fixture_path("two_point_power.json"), "--modulus", modulus, "--report", str(report)]
+            assert main(argv) == 0
+            payload = json.loads(report.read_text())
+            assert payload["A_route"] == route
+            assert payload["A_pair"] == payload["lip_omega_G_pair"] == {"y": 0, "z": 1}
+            assert payload["condition_C"]["count"] == payload["condition_CW1"]["count"] == 0
+            assert payload["per_pair_M_count"] == (2 if route == "intrinsic" else 0)
+
+    def test_infeasible_report_is_bounded(self, tmp_path, capsys):
+        t = np.linspace(-1.0, 1.0, 40)
+        path = tmp_path / "concave.json"
+        path.write_text(json.dumps(Jet(t, -t ** 2 / 2.0, -t).to_json()))
+        assert main(["validate", str(path), "--modulus", "linear"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["condition_C"]["count"] == 40 * 39      # every ordered pair
+        assert len(payload["condition_C"]["violations"]) == jet._KEEP
+        assert len(payload["per_pair_M"]) == jet._KEEP
+        assert payload["per_pair_M_count"] == payload["condition_C"]["count"]
+
+
+def test_parser_is_built_once_per_process(halfsq_file, monkeypatch, capsys):
+    built = []
+    original = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(k.get("prog")) or original(self, *a, **k))
+    cli.make_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", halfsq_file])         # no --modulus: a usage error
+    assert exc.value.code == 2
+    assert main(["validate", halfsq_file, "--modulus", "linear"]) == 0
+    assert main(["constants", halfsq_file, "--modulus", "linear"]) == 0
+    assert built.count("convext") == 1
+    cli.make_parser.cache_clear()           # later tests build an unpatched parser
 
 
 class TestConstants:
@@ -249,6 +289,17 @@ class TestExtend:
             "extend", halfsq_file, "--modulus", "linear", "--domain", "-3",
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["extend", "c1"])
+    @pytest.mark.parametrize("domain", [["nan", "2"], ["-2", "inf"]])
+    def test_non_finite_domain_is_one_input_error_line(self, halfsq_file, capsys, command, domain):
+        argv = [command, halfsq_file, "--domain", *domain] + (["--modulus", "linear"] if command == "extend" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no RuntimeWarning on the way
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: domain box must be finite, got lo [") and err.count("\n") == 1
 
     def test_low_cap_warns_once_per_run(self, tmp_path):
         # the corners of a square under |x|^2 / 2: sup|G| = sqrt(2)
@@ -500,16 +551,17 @@ class TestExtendMemory:
     """extend without --out samples no grid, and its (rows, pieces) kernels, the pair pass
     of every command among them, run in blocks."""
 
-    def _jet_file(self, tmp_path, n, d, seed):
+    def _jet_file(self, tmp_path, n, d, seed, sign=1.0):
+        """A convex jet at n random points, or with sign = -1 the concave one."""
         rng = np.random.default_rng(seed)
         value, grad = random_convex_function(rng, d)
         pts = rng.uniform(-1.0, 1.0, size=(n, d))
         path = tmp_path / f"jet{d}.json"
-        path.write_text(json.dumps(Jet(pts, value(pts), grad(pts)).to_json()))
+        path.write_text(json.dumps(Jet(pts, sign * value(pts), sign * grad(pts)).to_json()))
         return str(path)
 
-    def _peak_rss_mb(self, tmp_path, argv):
-        """Max RSS of ``convext <argv>`` run in a child process, which must exit 0."""
+    def _peak_rss_mb(self, tmp_path, argv, code=0):
+        """Max RSS of ``convext <argv>`` run in a child process, which must exit with code."""
         src = str(Path(convext.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = [sys.executable, "-m", "convext.cli", *argv, "--report", str(tmp_path / "report.json")]
@@ -517,7 +569,7 @@ class TestExtendMemory:
             child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
             _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)     # reaped by wait4
-        assert child.returncode == 0, (tmp_path / "stderr.txt").read_text()
+        assert child.returncode == code, (tmp_path / "stderr.txt").read_text()
         return usage.ru_maxrss / 1024       # KiB to MiB
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
@@ -531,6 +583,15 @@ class TestExtendMemory:
         # the verdict's dense n x n pair matrices alone took 280 MB
         path = self._jet_file(tmp_path, 2000, 2, 1)
         assert self._peak_rss_mb(tmp_path, ["validate", path, "--modulus", "holder:0.5"]) < 150
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_of_a_large_infeasible_validate(self, tmp_path):
+        # every ordered pair fails (C): listing them all took 2.96 GB and a 212 MB report
+        path = self._jet_file(tmp_path, 2000, 2, 1, sign=-1.0)
+        assert self._peak_rss_mb(tmp_path, ["validate", path, "--modulus", "holder:0.5"], code=1) < 200
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["condition_C"]["count"] == 2000 * 1999
+        assert (tmp_path / "report.json").stat().st_size < 2 ** 20
 
     def test_2d_extend_samples_the_grid_only_for_the_csv(self, tmp_path, monkeypatch):
         path = self._jet_file(tmp_path, 6, 2, 5)

@@ -58,6 +58,10 @@ CASES = {
                                             lipschitz_cap=-1.0), ValueError, "lipschitz_cap must be finite"),
     "box-bound-count": (lambda: build_envelope(Generator(PLANE, LinearModulus(), 1.0), [-1.0], [2.0], 33),
                         ValueError, "domain box must have 2 bounds per side"),
+    "box-nan": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [np.nan], [2.0], 33),
+                ValueError, r"domain box must be finite, got lo \[nan\] and hi \[2.0\]"),
+    "box-inf": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [-2.0], [np.inf], 33),
+                ValueError, r"domain box must be finite, got lo \[-2.0\] and hi \[inf\]"),
     "box-degenerate": (lambda: build_envelope(Generator(HALFSQ, LinearModulus(), 1.0), [1.0], [1.0], 33),
                        ValueError, "domain box is degenerate"),
     "construction-t-grid": (lambda: build_construction(HALFSQ, t_grid=[0.5, 0.25]), ValueError,

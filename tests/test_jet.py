@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from convext import jet as jet_module
 from convext.jet import (
+    InfeasibleJetError,
     Jet,
+    _KEEP,
+    _verdict,
     _pair_constants,
     _pair_ratios,
     _pareto_pairs,
@@ -444,3 +448,129 @@ class TestFeasibilityReport:
         rep = feasibility_report(HALFSQ, flat)
         assert rep.A_route == "extrinsic"
         assert np.isfinite(rep.A)
+
+
+def _concave_jet(n=12):
+    t = np.linspace(-1.0, 1.0, n)
+    return Jet(t, -t ** 2 / 2.0, -t)
+
+
+def _cw1_jet():
+    """f = 0: each pair (y, z) with G(z) = 0 != G(y) is tangent with a gradient
+    gap (36 (CW1) violations, tied in pairs), and 15 pairs fail (C)."""
+    g = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+    return Jet(np.linspace(0.0, 1.0, 12), np.zeros(12), g)
+
+
+def _full_violations(jet, tol=1e-9):
+    """Every (C) and (CW1) violation (i, j, residual), in row-major order, from ``pair_defects``."""
+    C, S, _ = pair_defects(jet)
+    f = jet.values
+    below = C < -tol * (1.0 + np.abs(f[:, None]) + np.abs(f[None, :]))
+    np.fill_diagonal(below, False)
+    tangent = (C <= 0.0) & (S > 0.0) & ~below
+    return ([(i, j, C[i, j]) for i, j in zip(*np.nonzero(below))],
+            [(i, j, S[i, j]) for i, j in zip(*np.nonzero(tangent))])
+
+
+class TestBoundedReports:
+    """Reports keep the _KEEP worst violations and largest pair constants, and count all."""
+
+    def test_conditions_keep_the_worst_and_count_all(self):
+        worst_C = lambda v: (v[2], v[0], v[1])          # most negative C, then row-major
+        worst_CW1 = lambda v: (-v[2], v[0], v[1])       # largest S, then row-major
+        for jet, check, which, worst in ((_concave_jet(), check_condition_C, 0, worst_C),
+                                         (_cw1_jet(), check_condition_C, 0, worst_C),
+                                         (_cw1_jet(), check_condition_CW1, 1, worst_CW1)):
+            full = _full_violations(jet)[which]
+            report = check(jet)
+            assert len(full) > _KEEP
+            assert report.count == len(full) and not report.ok
+            assert report.violations == sorted(sorted(full, key=worst)[:_KEEP])
+
+    def test_per_pair_M_is_the_largest_of_the_full_list(self):
+        t = np.linspace(-1.0, 1.0, 15)
+        jet = Jet(t, t ** 2 / 2.0, t)       # quadratic: every pair with s > 0 is on the front
+        for m in (LinearModulus(), HolderModulus(0.5)):
+            A, full = seminorm_A_intrinsic(jet, m)
+            rep = feasibility_report(jet, m)
+            assert len(full) > _KEEP
+            assert rep.per_pair_M == sorted(full, key=lambda p: (-p[1], p[0]))[:_KEEP]
+            assert rep.per_pair_M_count == len(full)
+            assert rep.per_pair_M[0][1] == A and rep.A_pair == rep.per_pair_M[0][0]
+            assert rep.condition_C.count == rep.condition_CW1.count == 0
+
+    def test_infeasible_per_pair_M_lists_the_failing_condition(self):
+        jet = _concave_jet()
+        rep = feasibility_report(jet, LinearModulus())
+        assert rep.per_pair_M == [((i, j), np.inf) for i, j, _ in rep.condition_C.violations]
+        assert rep.per_pair_M_count == rep.condition_C.count
+        assert rep.A_pair is None
+        payload = rep.to_json()
+        assert payload["condition_C"]["count"] == rep.condition_C.count
+        assert len(payload["condition_C"]["violations"]) == _KEEP
+
+    def test_blocked_selection_matches_one_block(self, monkeypatch):
+        for jet in (_concave_jet(), _cw1_jet()):
+            whole = _verdict(jet, 1e-9)
+            monkeypatch.setattr(jet_module, "_BUDGET", 24)    # blocks of two rows
+            blocked = _verdict(jet, 1e-9)
+            monkeypatch.undo()
+            for a, b in ((whole.condition_C, blocked.condition_C),
+                         (whole.condition_CW1, blocked.condition_CW1)):
+                assert a.count == b.count
+                assert np.array_equal(np.array(a.violations), np.array(b.violations))
+            assert str(whole.error) == str(blocked.error)
+
+    def test_error_text_names_the_first_pairs_and_counts_the_rest(self):
+        # the text of a report that listed every violating pair, in row-major order
+        for jet, text in (
+            (_concave_jet(), "jet violates condition_C at pairs (0,1), (0,2), (0,3), (0,4), (0,5) and 127 more"),
+            (_cw1_jet(), "jet violates condition_C at pairs (7,6), (8,6), (8,7), (9,6), (9,7) and 10 more"),
+        ):
+            assert str(_verdict(jet, 1e-9).error) == text
+            assert str(InfeasibleJetError("condition_C", _full_violations(jet)[0])) == text
+
+    def test_intrinsic_seminorm_keeps_every_violating_pair(self):
+        jet = _concave_jet()
+        A, per_pair = seminorm_A_intrinsic(jet, LinearModulus())
+        assert A == np.inf
+        assert per_pair == [((i, j), np.inf) for i, j, _ in _full_violations(jet)[0]]
+
+
+class TestMaximizingPairs:
+    def test_two_point_power_jet(self):
+        # the two ordered pairs tie exactly; the first in (y, z) order is named
+        for alpha in (0.5, 1.0):
+            jet = two_point_power_jet(alpha)
+            for m in (HolderModulus(alpha), TableModulus([[0, 0], [1, 1], [3, 1]])):
+                rep = feasibility_report(jet, m)
+                assert rep.A_route == ("intrinsic" if m.coercive else "extrinsic")
+                assert rep.A_pair == (0, 1) and rep.lip_omega_G_pair == (0, 1)
+                payload = rep.to_json()
+                assert payload["A_pair"] == payload["lip_omega_G_pair"] == {"y": 0, "z": 1}
+
+    def test_the_named_pairs_attain_the_maxima(self):
+        t = np.array([0.0, 1.0, 3.0])
+        jet = Jet(t, t ** 4 / 12.0, t ** 3 / 3.0)
+        C, S, D = pair_defects(jet)
+        for m in (LinearModulus(), HolderModulus(0.5), TableModulus([[0, 0], [1, 1], [3, 1]])):
+            rep = feasibility_report(jet, m)
+            i, j = np.nonzero(S > 0.0)
+            c, s = np.maximum(C[i, j], 0.0), S[i, j]
+            value = _pair_constants(c, s, m) if m.coercive else _pair_ratios(c, s, m)
+            at = dict(zip(zip(i.tolist(), j.tolist()), value))
+            assert rep.A == pytest.approx(value.max(), rel=1e-12)
+            assert at[rep.A_pair] == pytest.approx(rep.A, rel=1e-12)
+            if m.coercive:      # one ordered pair attains A (the bounded table ties (0, 2) and (2, 0))
+                assert np.sum(value == value.max()) == 1
+            lip = np.where(S > 0.0, S / np.where(D > 0.0, m.omega(D), 1.0), 0.0)
+            y, z = np.unravel_index(np.argmax(lip), lip.shape)     # first in (y, z) order
+            assert rep.lip_omega_G_pair == (y, z) and rep.lip_omega_G == lip.max()
+            assert np.sum(lip == lip.max()) == 2        # the pair and its mirror
+
+    def test_no_pair_where_the_constants_are_zero(self):
+        jet = Jet([[0.0], [1.0]], [0.0, 3.0], [[3.0], [3.0]])
+        rep = feasibility_report(jet, LinearModulus())
+        assert rep.A == 0.0 and rep.A_pair is None and rep.lip_omega_G_pair is None
+        assert rep.per_pair_M == [] and rep.per_pair_M_count == 0
