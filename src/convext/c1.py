@@ -20,7 +20,9 @@ one from the data:
   of the front points (c_k, s_k) and the origin.  The infimand
   h(u) + 2 L t u is convex, so its infimum over u >= 1 is attained at
   u = 1 or at a hull slope above 1: delta1 is exact, one minimum over
-  those vertices for every t at once.
+  those vertices for every t at once.  h is the support function of
+  those points, so ``delta(t) = h(1/t)`` and every h that delta1 takes
+  are read off the hull vertex that ``searchsorted`` finds on the slopes.
 * ``Delta = min(2 L, delta1)`` and ``omega = Delta^alpha``, tabulated on a
   log grid and repaired with an upper concave hull so the result is a
   certified concave table.
@@ -32,7 +34,8 @@ alpha defaults to 1 (the Euclidean case); smaller values exercise the
 norm-smoothness-limited variant together with a user-supplied midpoint
 constant K.
 
-Both upper hulls are ``envelope._lower_hull`` run on negated ordinates.
+The hull of the front and the table's concave repair are both
+``envelope._lower_hull`` run on negated ordinates.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .envelope import _lower_hull
-from .extension import ConstantTooSmallError, ExtensionConfig, build_extension, verify_extension
+from .extension import ConstantTooSmallError, ExtensionConfig, _build, _check_numbers, verify_extension
 from .jet import Jet, _verdict, sup_norm_gradients
 from .modulus import LinearModulus, Modulus, TableModulus, validate_modulus
 
@@ -85,27 +88,38 @@ class ConstructedModulus:
         return out
 
 
-def _front_under_C(jet: Jet):
-    """Defects (c, s) of the verdict's Pareto-front pairs; raises the
-    verdict's error when condition (C) fails."""
-    verdict = _verdict(jet, 1e-9)
+def _hull(verdict):
+    """Vertices (c, s) and decreasing segment slopes of the upper hull of the
+    verdict's front points and the origin; raises its error where (C) fails."""
     if not verdict.condition_C.ok:
         raise verdict.error
-    return verdict.front[2:]
+    c, s = verdict.front[2:]
+    xs, ys = np.concatenate([[0.0], c]), np.concatenate([[0.0], -s])
+    order = np.lexsort((ys, xs))
+    hx, hy = _lower_hull(xs[order], ys[order])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = -np.diff(hy) / np.diff(hx)
+    return hx, 0.0 - hy, slopes       # not -hy: the origin's s is +0.0
 
 
-def _delta(c, s, ts):
-    return np.max(s[None, :] - c[None, :] / ts[:, None], axis=1, initial=0.0)
+def _h(hull, u, ts=None):
+    """h(u) = max(0, max_k s_k - c_k u), or with u = 1 / ts, h(1/t) as s_k - c_k / t.
+    Read off the hull vertex that ``searchsorted`` finds and its two neighbours,
+    so the larger end wins a slope tie, exact or made by rounding."""
+    hc, hs, slopes = hull
+    v = np.clip(np.searchsorted(-slopes, -u)[:, None] + np.arange(-1, 2), 0, slopes.size)
+    cu = hc[v] * u[:, None] if ts is None else hc[v] / ts[:, None]
+    return np.max(hs[v] - cu, axis=1, initial=0.0)
 
 
 def delta_many(jet: Jet, ts) -> np.ndarray:
     """delta, the worst tangent-plane crossing rate within witness distance t,
-    on an array of positive distances t (exact finite-set reduction); needs
+    on an array of finite positive distances t (exact finite-set reduction); needs
     condition (C) only."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 0):
-        raise ValueError("delta is defined for t > 0")
-    return _delta(*_front_under_C(jet), ts)
+    if not np.all(np.isfinite(ts) & (ts > 0)):
+        raise ValueError(f"ts must be finite and > 0, got {ts}")
+    return _h(_hull(_verdict(jet, 1e-9)), 1.0 / ts, ts)
 
 
 def delta1_value(jet: Jet, L: float, t):
@@ -117,19 +131,15 @@ def delta1_value(jet: Jet, L: float, t):
     hull of the front points (c_k, s_k) and the origin.  Needs condition
     (C) only, like ``delta_many``.
     """
-    return _delta1(*_front_under_C(jet), L, t)
+    if not np.all(np.isfinite(t) & (np.asarray(t) >= 0)):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    return _delta1(_hull(_verdict(jet, 1e-9)), L, t)
 
 
-def _delta1(c, s, L, t):
-    xs, ys = np.concatenate([[0.0], c]), np.concatenate([[0.0], -s])
-    order = np.lexsort((ys, xs))
-    hx, hy = _lower_hull(xs[order], ys[order])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = -np.diff(hy) / np.diff(hx)
+def _delta1(hull, L, t):
+    slopes = hull[2]
     u = np.concatenate([[1.0], slopes[np.isfinite(slopes) & (slopes > 1.0)]])
-    h = np.max(s[None, :] - c[None, :] * u[:, None], axis=1, initial=0.0)
-    tt = np.asarray(t, dtype=float)
-    out = np.min(h + 2.0 * L * tt[..., None] * u, axis=-1)
+    out = np.min(_h(hull, u) + 2.0 * L * np.asarray(t, dtype=float)[..., None] * u, axis=-1)
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -146,37 +156,42 @@ def build_construction(
     domination) and returns a degenerate record handled downstream by a
     constant extension.
     """
+    return _construct(jet, alpha, t_grid, tol)[0]
+
+
+def _construct(jet: Jet, alpha, t_grid, tol):
+    """``build_construction``, and the verdict it read (for the extension)."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    verdict = _verdict(jet, tol)
-    if verdict.error:
-        raise verdict.error
-    c, s = verdict.front[2:]
-    L = sup_norm_gradients(jet)
     if t_grid is None:
         diam = max(jet.diameter(), 1.0)
         t_grid = np.geomspace(1e-4 * diam, 10.0 * diam, 320)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
-        if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-            raise ValueError("t_grid must be positive and strictly increasing")
+        if not (np.all(np.isfinite(t_grid) & (t_grid > 0)) and np.all(np.diff(t_grid) > 0)):
+            raise ValueError("t_grid must be positive and strictly increasing, and finite")
+    verdict = _verdict(jet, tol)
+    if verdict.error:
+        raise verdict.error
+    L = sup_norm_gradients(jet)
 
     if L <= 1e-15 * (1.0 + float(np.max(np.abs(jet.values)))):
         zeros = np.zeros_like(t_grid)
         return ConstructedModulus(
             alpha=alpha, L=L, t_grid=t_grid, delta=zeros, delta1=zeros,
             Delta=zeros, omega=None, M=0.0, degenerate=True,
-        )
+        ), verdict
 
-    delta = _delta(c, s, t_grid)
-    delta1 = _delta1(c, s, L, t_grid)
+    hull = _hull(verdict)
+    delta = _h(hull, 1.0 / t_grid, t_grid)
+    delta1 = _delta1(hull, L, t_grid)
     Delta = np.minimum(2.0 * L, delta1)
 
     ts = np.concatenate([[0.0], t_grid])
     ws = np.concatenate([[0.0], np.power(Delta, alpha)])
     hx, hy = _lower_hull(ts, -ws)
     omega = TableModulus(np.column_stack([hx, -hy]))
-    report = validate_modulus(omega, np.concatenate([[0.0], t_grid]))
+    report = validate_modulus(omega, ts)
     if not report.ok:
         raise RuntimeError(f"constructed table failed validation: {report.issues[:3]}")
 
@@ -184,7 +199,7 @@ def build_construction(
     return ConstructedModulus(
         alpha=alpha, L=L, t_grid=t_grid, delta=delta, delta1=delta1,
         Delta=Delta, omega=omega, M=M,
-    )
+    ), verdict
 
 
 def c1_extend(
@@ -206,16 +221,16 @@ def c1_extend(
     fails it raises RuntimeError.  Returns
     (model, verification report, construction).
     """
-    cm = build_construction(jet, alpha=alpha, tol=tol)
-    modulus, M = LinearModulus(), "auto"        # a constant jet gets a constant extension
-    if not cm.degenerate:
-        modulus, M = cm.omega, cm.M
+    cm, verdict = _construct(jet, alpha, None, tol)
+    # a constant jet gets a constant extension
+    modulus, M = (LinearModulus(), "auto") if cm.degenerate else (cm.omega, cm.M)
     cfg = ExtensionConfig(
         modulus=modulus, M=M, lipschitz="auto",
         smoothness_K=smoothness_K, domain=domain, resolution=resolution, tol=tol,
     )
+    _check_numbers(cfg)
     try:
-        model = build_extension(jet, cfg)
+        model = _build(jet, cfg, verdict)
     except ConstantTooSmallError as exc:
         raise RuntimeError(f"construction failed: {exc}") from exc
     return model, verify_extension(model, samples=samples, seed=seed), cm

@@ -269,10 +269,10 @@ def _add_common(p, with_modulus=True):
 def _add_build(p):
     p.add_argument("--domain", type=float, nargs="+", default=None,
                    help="box as lo1 hi1 [lo2 hi2 ...]; default: jet box +/- max(1, 2 diam)")
-    p.add_argument("--resolution", type=int, default=None, help="grid points per axis")
+    p.add_argument("--resolution", type=_number(int, lambda v: v >= 33, ">= 33"), help="grid points per axis")
     p.add_argument("--samples", type=_number(int, lambda v: v >= 0, ">= 0"), default=2000,
                    help="least number of verification sample pairs (at least 40 points are drawn)")
-    p.add_argument("--seed", type=int, default=0, help="verification RNG seed")
+    p.add_argument("--seed", type=_number(int, lambda v: v >= 0, ">= 0"), default=0, help="verification RNG seed")
     p.add_argument("--K", type=_number(float, lambda v: v > 0, "> 0"), default=None,
                    help="override the midpoint-smoothness constant")
     p.add_argument("--out", default=None, help="write grid samples CSV here")
@@ -308,7 +308,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c1", help="construct a modulus from a qualitative jet and extend")
     _add_common(p, with_modulus=False)
-    p.add_argument("--alpha", type=float, default=1.0, help="norm smoothness exponent, default 1")
+    p.add_argument("--alpha", type=_number(float, lambda v: 0 < v <= 1, "in (0, 1]"), default=1.0,
+                   help="norm smoothness exponent, default 1")
     _add_build(p)
     p.set_defaults(func=cmd_c1)
 

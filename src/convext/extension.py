@@ -160,7 +160,11 @@ def build_extension(jet: Jet, cfg: ExtensionConfig) -> ExtensionModel:
     the least feasible constant or a numeric field of cfg is out of range.
     """
     _check_numbers(cfg)
-    verdict = _verdict(jet, cfg.tol)
+    return _build(jet, cfg, _verdict(jet, cfg.tol))
+
+
+def _build(jet: Jet, cfg: ExtensionConfig, verdict) -> ExtensionModel:
+    """``build_extension`` on the verdict of (jet, cfg.tol), once cfg's numbers are checked."""
     if verdict.error:
         raise verdict.error
     A = _A(verdict, cfg.modulus)

@@ -1,8 +1,10 @@
 """Independent oracles the tests compare the package against.
 
 ``brute_force_envelope`` bounds conv(g)(x) from above by random convex
-combinations, and ``check_necessity`` samples the lifted-tangent-plane
-inequality of a built extension.  Neither is part of the library.
+combinations, ``check_necessity`` samples the lifted-tangent-plane
+inequality of a built extension, and ``front_delta`` and ``front_delta1``
+take the c1 construction's maxima over every given pair, where the library
+reads them off one hull.  None is part of the library.
 """
 
 import numpy as np
@@ -111,3 +113,16 @@ def check_necessity(model, samples: int = 500, seed: int = 0) -> dict:
         "M_hat": M_hat,
         "triples": int(k * k),
     }
+
+
+def front_delta(c, s, ts):
+    """delta on the distances ts: max(0, max_k s_k - c_k / t) over every pair (c_k, s_k)."""
+    return np.array([np.max(s - c / t, initial=0.0) for t in ts])
+
+
+def front_delta1(c, s, slopes, L, t):
+    """delta1 at t: the min over u in {1} and the finite slopes above 1 of
+    max(0, max_k s_k - c_k u) + 2 L t u, each maximum over every pair."""
+    u = np.concatenate([[1.0], slopes[np.isfinite(slopes) & (slopes > 1.0)]])
+    h = np.array([np.max(s - c * v, initial=0.0) for v in u])
+    return np.min(h + 2.0 * L * np.asarray(t, dtype=float)[..., None] * u, axis=-1)

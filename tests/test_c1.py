@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from convext.c1 import (
+    _hull,
     build_construction,
     c1_extend,
     delta1_value,
@@ -11,6 +14,7 @@ from convext.fixtures import two_point_power_jet
 from convext.jet import (
     InfeasibleJetError,
     Jet,
+    _verdict,
     pair_defects,
     seminorm_A_extrinsic,
     sup_norm_gradients,
@@ -18,6 +22,7 @@ from convext.jet import (
 from convext.modulus import validate_modulus
 
 from conftest import dense_restriction_jet, random_feasible_jet
+from oracles import front_delta, front_delta1
 
 HALFSQ = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
 
@@ -47,10 +52,14 @@ class TestDelta:
         assert np.all(d <= 2.0 * L + 1e-12)
 
     def test_domain_and_feasibility_errors(self):
-        with pytest.raises(ValueError):
-            delta_many(HALFSQ, [0.0])
-        with pytest.raises(ValueError):
-            delta_many(HALFSQ, [1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # no RuntimeWarning on the way
+            for ts in ([0.0], [1.0, 0.0], [np.nan], [1.0, np.inf]):
+                with pytest.raises(ValueError, match="ts must be finite and > 0"):
+                    delta_many(HALFSQ, ts)
+            for t in (-1.0, np.nan, np.inf, [0.5, -1.0]):
+                with pytest.raises(ValueError, match="t must be finite and >= 0"):
+                    delta1_value(HALFSQ, 1.0, t)
         bad = Jet([[0.0], [1.0]], [0.0, -1.0], [[0.0], [0.0]])
         for evaluate in (lambda j: delta_many(j, [1.0]), lambda j: delta1_value(j, 1.0, 0.5)):
             with pytest.raises(InfeasibleJetError, match="condition_C"):
@@ -199,6 +208,11 @@ class TestConstruction:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
             build_construction(HALFSQ, alpha=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t_grid in ([1.0, 2.0, np.inf], [1.0, np.nan, 2.0], [-1.0, 2.0], [2.0, 1.0]):
+                with pytest.raises(ValueError, match="t_grid must be positive and strictly increasing, and finite"):
+                    build_construction(HALFSQ, t_grid=t_grid)
 
 
 class TestC1Extend:
@@ -228,12 +242,26 @@ class TestC1Extend:
         assert report.empirical_lip_F == pytest.approx(0.0, abs=1e-12)
 
     def test_pareto_reduction_consistency(self, rng):
-        """The reduced pair set reproduces the full-set delta."""
-        jet = dense_restriction_jet(rng, n=40)
-        C, S, _ = pair_defects(jet)
-        n = jet.size
-        ii, jj = np.where(~np.eye(n, dtype=bool))
-        c_full, s_full = np.maximum(C[ii, jj], 0.0), S[ii, jj]
-        ts = np.geomspace(1e-3, 10.0, 50)
-        full = np.maximum(0.0, np.max(s_full[None, :] - c_full[None, :] / ts[:, None], axis=1))
-        assert np.allclose(delta_many(jet, ts), full, atol=1e-12)
+        """delta, delta1 and the construction's tables, read off the upper
+        hull of the front, equal bit for bit the oracle's maxima over every
+        pair: on dense jets, on the tie-heavy grid of x^2 / 2, and on a jet
+        that fails (CW1) only, whose hull has a vertical first edge."""
+        cw1 = Jet([[0.0], [1.0]], [0.0, 0.0], [[0.0], [1.0]])
+        hc = _hull(_verdict(cw1, 1e-9))[0]
+        assert hc[0] == hc[1]
+        jets = [dense_restriction_jet(rng) for _ in range(20)] + [halfsq_grid_jet(), cw1]
+        for jet in jets:
+            C, S, _ = pair_defects(jet)
+            off = ~np.eye(jet.size, dtype=bool)
+            c, s = np.maximum(C[off], 0.0), S[off]
+            slopes = _hull(_verdict(jet, 1e-9))[2]
+            L = sup_norm_gradients(jet)
+            ts = np.geomspace(1e-4, 20.0, 200)
+            t0 = np.concatenate([[0.0], ts])
+            assert delta_many(jet, ts).tobytes() == front_delta(c, s, ts).tobytes()
+            assert delta1_value(jet, L, t0).tobytes() == front_delta1(c, s, slopes, L, t0).tobytes()
+            if jet is cw1:
+                continue
+            cm = build_construction(jet)
+            assert cm.delta.tobytes() == front_delta(c, s, cm.t_grid).tobytes()
+            assert cm.delta1.tobytes() == front_delta1(c, s, slopes, L, cm.t_grid).tobytes()

@@ -320,11 +320,13 @@ class TestExtend:
     @pytest.mark.parametrize("flag, value", [
         ("--M", "nan"), ("--M", "inf"), ("--lipschitz", "nan"), ("--lipschitz", "inf"),
         ("--lipschitz", "-1"), ("--tol", "nan"), ("--tol", "-1"), ("--K", "nan"), ("--K", "0"),
-        ("--samples", "-1"),
+        ("--samples", "-1"), ("--seed", "-1"), ("--resolution", "5"),
+        ("--alpha", "0"), ("--alpha", "2"), ("--alpha", "nan"),
     ])
     def test_bad_numeric_flag_exits_two_at_parse_time(self, halfsq_file, capsys, flag, value):
+        command = ["c1"] if flag == "--alpha" else ["extend", "--modulus", "linear"]
         with pytest.raises(SystemExit) as exit_:
-            main(["extend", halfsq_file, "--modulus", "linear", flag, value])
+            main([*command, halfsq_file, flag, value])
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: must be" in err and "Traceback" not in err
@@ -409,7 +411,7 @@ class TestOneVerdict:
             assert code == 1 and "Infinity" not in out and json.loads(out)["lip_omega_G"] == "inf"
 
 
-@pytest.mark.parametrize("command, passes", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 2)])
+@pytest.mark.parametrize("command, passes", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 1)])
 def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, command, passes):
     calls = []
     original = jet._verdict_rows
@@ -420,7 +422,7 @@ def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, comma
 
 
 
-@pytest.mark.parametrize("command, fronts", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 2)])
+@pytest.mark.parametrize("command, fronts", [("validate", 1), ("constants", 1), ("extend", 1), ("c1", 1)])
 def test_pareto_fronts_per_command(halfsq_file, monkeypatch, capsys, command, fronts):
     calls = []
     original = jet._pareto_pairs
@@ -494,15 +496,15 @@ class TestInternalErrors:
         assert err.startswith("internal error: CertificationError: ") and err.count("\n") == 1
 
     def test_failed_construction_exits_three(self, halfsq_file, monkeypatch, capsys):
-        build = c1.build_construction
+        construct = c1._construct
 
         def shrunk(*args, **kwargs):
             # here A = M / 4, so halving M would still pass
-            cm = build(*args, **kwargs)
+            cm, verdict = construct(*args, **kwargs)
             cm.M *= 0.1
-            return cm
+            return cm, verdict
 
-        monkeypatch.setattr(c1, "build_construction", shrunk)
+        monkeypatch.setattr(c1, "_construct", shrunk)
         code = main(["c1", halfsq_file, "--samples", "100"])
         assert code == 3
         err = capsys.readouterr().err
@@ -592,6 +594,15 @@ class TestExtendMemory:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["condition_C"]["count"] == 2000 * 1999
         assert (tmp_path / "report.json").stat().st_size < 2 ** 20
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_of_a_large_c1(self, tmp_path):
+        # delta1's (hull slopes x front) table alone took 347 MB
+        value, grad = random_convex_function(np.random.default_rng(1), 1)
+        pts = np.linspace(-1.0, 1.0, 2000)[:, None]
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(Jet(pts, value(pts), grad(pts)).to_json()))
+        assert self._peak_rss_mb(tmp_path, ["c1", str(path)]) < 150
 
     def test_2d_extend_samples_the_grid_only_for_the_csv(self, tmp_path, monkeypatch):
         path = self._jet_file(tmp_path, 6, 2, 5)
