@@ -244,8 +244,18 @@ def cmd_reproduce(args) -> int:
 def cmd_report(args) -> int:
     with open(args.file) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"report must be a JSON object, got {type(payload).__name__}")
     verification = payload.get("verification", payload)
+    if not isinstance(verification, dict):
+        raise ValueError(f"report field 'verification' must be an object, got {type(verification).__name__}")
     checks = verification.get("bound_checks", [])
+    if not isinstance(checks, list):
+        raise ValueError(f"report field 'bound_checks' must be a list, got {type(checks).__name__}")
+    for c in checks:
+        if not (isinstance(c, dict) and {"name", "passed"} <= c.keys()
+                and all(type(c.get(k)) in (int, float) for k in ("bound", "measured"))):
+            raise ValueError(f"each bound check needs a name, a numeric bound and measured, and passed; got {c!r}")
     rows = [("check", "bound", "measured", "pass")]
     for c in checks:
         rows.append(

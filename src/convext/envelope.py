@@ -181,8 +181,9 @@ class EnvelopeModel:
 
     Built by :func:`build_envelope`.  In d = 1, queries must lie in the box
     and interpolate the lower hull of g sampled there; in d >= 2 each is a
-    certified conjugate solve of conv(g) over R^d, and the box only places
-    ``grid_points``, the CSV rows, where nothing is evaluated up front.
+    certified conjugate solve of conv(g) over R^d.  ``grid_points`` are the
+    CSV rows in every dimension: the hull samples ``sample_x`` in d = 1, and
+    in d >= 2 the box's grid, where nothing is evaluated up front.
     ``lipschitz_cap`` is the L of the capped variant F_L, fixed at build
     (None: uncapped, and the ``lipschitz_*`` queries raise).
     """
@@ -203,6 +204,7 @@ class EnvelopeModel:
             self.sample_x = xs
             self.sample_g = gs
             self.hull_x, self.hull_y = _lower_hull(xs, gs)
+            self.grid_points = xs[:, None]
         else:
             axes = [np.linspace(self.lo[k], self.hi[k], self.resolution) for k in range(d)]
             mesh = np.meshgrid(*axes, indexing="ij")
@@ -210,84 +212,73 @@ class EnvelopeModel:
 
     # -- helpers
 
-    def _require_inside(self, X):
+    def grid_spacing(self) -> float:
+        return float(np.max((self.hi - self.lo) / (self.resolution - 1)))
+
+    def _evaluate(self, X, L=None):
+        """(F, s) at the rows of X, or (F_L, s) under the cap L, with s a
+        subgradient there: the one place that picks the 1-D hull (s: the
+        slope of the segment holding x, clipped to [-L, L]) or the conjugate
+        solve (s: its maximizer s*).  See the module docstring for both.
+        """
+        X = _as_points(X, self.dimension)
+        if self.dimension > 1:
+            return convex_combination_min(self.generator, X, L)
         inside = np.all((X >= self.lo - 1e-12) & (X <= self.hi + 1e-12), axis=1)
         if not np.all(inside):
-            bad = X[~inside][0]
-            raise ValueError(f"query {bad} lies outside the envelope domain")
-
-    def grid_spacing(self) -> float:
-        if self.dimension == 1:
-            return float((self.hi[0] - self.lo[0]) / (self.resolution - 1))
-        return float(np.max((self.hi - self.lo) / (self.resolution - 1)))
+            raise ValueError(f"query {X[~inside][0]} lies outside the envelope domain")
+        x, hx, hy = X[:, 0], self.hull_x, self.hull_y
+        slopes = np.diff(hy) / np.diff(hx)
+        F = np.interp(x, hx, hy)
+        if L is not None:       # a, b: the first and last vertex of F_L's hull part
+            a, b = np.searchsorted(slopes, -L), np.searchsorted(slopes, L, side="right")
+            F = np.where(x > hx[b], hy[b] + L * (x - hx[b]), F)
+            F = np.where(x < hx[a], hy[a] + L * (hx[a] - x), F)
+            slopes = np.clip(slopes, -L, L)
+        k = np.clip(np.searchsorted(hx, x, side="right") - 1, 0, len(hx) - 2)
+        return F, slopes[k][:, None]
 
     # -- envelope evaluation
 
     def value_many(self, X) -> np.ndarray:
-        X = _as_points(X, self.dimension)
-        if self.dimension > 1:
-            return convex_combination_min(self.generator, X)[0]
-        self._require_inside(X)
-        return np.interp(X[:, 0], self.hull_x, self.hull_y)
+        return self._evaluate(X)[0]
 
     def value(self, x) -> float:
         return float(self.value_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def gradient_many(self, X) -> np.ndarray:
-        """grad F at the rows of X, (Q, d).
-
-        d >= 2: the maximizer s* of the conjugate solve.  d = 1: where the
-        screen ``Generator._exposed`` clears x, F = g there and the gradient
-        is the active piece's s, exactly; elsewhere the slope of the hull
-        segment holding x.
-        """
-        X = _as_points(X, self.dimension)
-        if self.dimension > 1:
-            return convex_combination_min(self.generator, X)[1]
-        self._require_inside(X)
-        gen = self.generator
-        exposed, _, s, _ = _blocks(lambda X: gen._exposed(X, -TOL), gen.jet.size, X)
-        hx, hy = self.hull_x, self.hull_y
-        k = np.clip(np.searchsorted(hx, X[:, 0], side="right") - 1, 0, len(hx) - 2)
-        slope = (hy[k + 1] - hy[k]) / (hx[k + 1] - hx[k])
-        return np.where(exposed[:, None], s, slope[:, None])
+        """grad F at the rows of X, (Q, d): see ``_value_and_gradient``."""
+        return self._value_and_gradient(X)[1]
 
     def _value_and_gradient(self, X):
-        """(F, grad F) at the rows of X: one conjugate solve in d >= 2, and
-        ``value_many`` and ``gradient_many`` in d = 1."""
+        """(F, grad F) at the rows of X, from one ``_evaluate``.
+
+        The gradient is its s, except in d = 1 where the screen
+        ``Generator._exposed`` clears x: F = g there, and the gradient is
+        the active piece's, exactly.
+        """
         X = _as_points(X, self.dimension)
-        if self.dimension > 1:
-            return convex_combination_min(self.generator, X)
-        return self.value_many(X), self.gradient_many(X)
+        F, S = self._evaluate(X)
+        if self.dimension == 1:
+            gen = self.generator
+            exposed, _, s, _ = _blocks(lambda X: gen._exposed(X, -TOL), gen.jet.size, X)
+            S = np.where(exposed[:, None], s, S)
+        return F, S
 
     def grid_envelope_values(self) -> np.ndarray:
-        """Envelope at every row of the samples CSV: the hull samples (d = 1)
-        or ``grid_points`` (d >= 2)."""
-        return self.value_many(self.sample_x[:, None] if self.dimension == 1 else self.grid_points)
+        """Envelope at every row of the samples CSV, ``grid_points``."""
+        return self.value_many(self.grid_points)
 
     # -- Lipschitz-capped evaluation
 
     def lipschitz_value_many(self, X) -> np.ndarray:
         """F_L(x) = inf_y F(y) + L |x - y| with L = ``lipschitz_cap``, also
         under the name ``lipschitz_values_grid``; ValueError without a cap.
-
-        d = 1 is exact by slope clipping: F_L* = F* + indicator[-L, L], so
-        F_L follows the hull from the first vertex a with right slope >= -L
-        to the last vertex b with left slope <= L, with slope -L left of a
-        and +L right of b.  d >= 2 is the conjugate solve over |s| <= L.
-        """
+        See ``_evaluate``."""
         L = self.lipschitz_cap
         if L is None:
             raise ValueError("no Lipschitz cap configured: pass lipschitz_cap to build_envelope")
-        X = _as_points(X, self.dimension)
-        if self.dimension > 1:
-            return convex_combination_min(self.generator, X, L)[0]
-        self._require_inside(X)
-        x, hx, hy = X[:, 0], self.hull_x, self.hull_y
-        slopes = np.diff(hy) / np.diff(hx)
-        a, b = np.searchsorted(slopes, -L), np.searchsorted(slopes, L, side="right")
-        inner = np.where(x > hx[b], hy[b] + L * (x - hx[b]), np.interp(x, hx, hy))
-        return np.where(x < hx[a], hy[a] + L * (hx[a] - x), inner)
+        return self._evaluate(X, L)[0]
 
     lipschitz_values_grid = lipschitz_value_many
 
@@ -298,16 +289,15 @@ class EnvelopeModel:
         """(F, F_L) at the rows of X, with ``solved`` = (F, grad F) there if
         already known.
 
-        d >= 2: where the uncapped maximizer has |s*| <= L it is feasible
-        for the capped problem, and F_L <= F, so F_L = F with the same
-        bracket; only the other rows take the capped solve.  d = 1:
-        ``value_many`` and ``lipschitz_values_grid``.
+        Where F has a subgradient s with |s| <= L, F_L = F: in d >= 2 the
+        uncapped maximizer is feasible for the capped problem, with the same
+        bracket; in d = 1 the hull segment holding x lies between the
+        clipping vertices, and a gradient from the screen of
+        ``_value_and_gradient`` gives F_L within the screen's bracket.  Only
+        the other rows take the capped evaluation.
         """
         X = _as_points(X, self.dimension)
-        if self.dimension == 1:
-            F = self.value_many(X) if solved is None else solved[0]
-            return F, self.lipschitz_values_grid(X)
-        F, S = convex_combination_min(self.generator, X) if solved is None else solved
+        F, S = self._evaluate(X) if solved is None else solved
         F_L = F.copy()
         far = np.flatnonzero(np.sqrt(np.sum(S * S, axis=1)) > self.lipschitz_cap)
         if far.size:
@@ -396,15 +386,9 @@ def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=
 
 def write_samples_csv(model: EnvelopeModel, path):
     """Write grid samples as CSV: x1..xd, g, m, F, and F_L when the model
-    was built with a cap (in d >= 2, F itself where |s*| <= L)."""
-    jet = model.generator.jet
-    d = model.dimension
-    if d == 1:
-        X = model.sample_x[:, None]
-        g = model.sample_g
-    else:
-        X = model.grid_points
-        g = model.generator.value_many(X)
+    was built with a cap (F itself where |s| <= L)."""
+    jet, d, X = model.generator.jet, model.dimension, model.grid_points
+    g = model.sample_g if d == 1 else model.generator.value_many(X)
     m_vals = minorant(jet, X)
     header = [f"x{k + 1}" for k in range(d)] + ["g", "m", "F"]
     if model.lipschitz_cap is None:

@@ -199,6 +199,8 @@ class TableModulus(Modulus):
             raise ValueError("knots must be an (k >= 2, 2) array of (t, omega(t)) pairs")
         t, w = knots[:, 0].copy(), knots[:, 1].copy()
         if validate:
+            if not np.all(np.isfinite(knots)):
+                raise ValueError(f"knots must be finite, got {knots.tolist()}")
             if t[0] != 0.0 or w[0] != 0.0:
                 raise ValueError("the first knot must be (0, 0)")
             if np.any(np.diff(t) <= 0):
@@ -290,8 +292,8 @@ class ScaledModulus(Modulus):
 
     def __init__(self, base: Modulus, factor: float):
         factor = float(factor)
-        if not factor > 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
+        if not (np.isfinite(factor) and factor > 0):
+            raise ValueError(f"scale factor must be finite and positive, got {factor}")
         self.base = base
         self.factor = factor
         self.coercive = base.coercive
@@ -434,6 +436,9 @@ def modulus_from_json(obj) -> Modulus:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ValueError("modulus JSON must be an object with a 'type' key")
     kind = obj["type"]
+    need = {"holder": "alpha", "table": "knots"}.get(kind)
+    if need is not None and need not in obj:
+        raise ValueError(f"modulus JSON of type {kind!r} is missing {need!r}")
     if kind == "holder":
         m = HolderModulus(obj["alpha"])
     elif kind == "linear":

@@ -85,6 +85,17 @@ class TestValidate:
         assert code == 2
         assert capsys.readouterr().err == "input error: jet data must be finite\n"
 
+    @pytest.mark.parametrize("command", ["validate", "extend"])
+    def test_non_finite_table_knot_is_input_error(self, tmp_path, capsys, command):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"type": "table", "knots": [[0.0, 0.0], [1.0, float("nan")], [2.0, 3.0]]}))
+        argv = [command, fixture_path("halfsq.json"), "--modulus", f"table:{table}"]
+        code = main(argv + (["--lipschitz", "auto"] if command == "extend" else []))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("input error: knots must be finite, got [[0.0, 0.0], [1.0, nan]")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("field, value", [
         ("dimension", '"x"'), ("points", '[["a"]]'), ("values", '["a"]'), ("gradients", '[["a"]]'),
     ])
@@ -548,6 +559,26 @@ class TestReport:
         assert "lipschitz_cap_attained" in out
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "report must be a JSON object, got list"),
+        ('"str"', "report must be a JSON object, got str"),
+        ('{"verification": [1]}', "report field 'verification' must be an object, got list"),
+        ('{"bound_checks": 3}', "report field 'bound_checks' must be a list, got int"),
+        ('{"bound_checks": [1]}', "each bound check needs a name, a numeric bound and measured, and passed; got 1"),
+        ('{"bound_checks": [{"name": "c", "bound": "x", "measured": 1.0, "passed": true}]}',
+         "each bound check needs a name, a numeric bound and measured, and passed; got {"),
+        ('{"bound_checks": [{"name": "c", "bound": 1.0, "measured": null, "passed": true}]}',
+         "each bound check needs a name"),
+    ], ids=["list", "string", "verification-list", "checks-int", "check-int", "bound-text", "measured-null"])
+    def test_malformed_report_is_input_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
+        code = main(["report", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: {message}")
+        assert err.count("\n") == 1
+
 
 class TestExtendMemory:
     """extend without --out samples no grid, and its (rows, pieces) kernels, the pair pass
@@ -562,31 +593,43 @@ class TestExtendMemory:
         path.write_text(json.dumps(Jet(pts, sign * value(pts), sign * grad(pts)).to_json()))
         return str(path)
 
+    # The child reports its own peak, VmHWM: ru_maxrss from os.wait4 would also
+    # count the resident set that the forked child had before exec, the pytest
+    # process's.
+    CHILD = """
+import sys
+from convext.cli import main
+code = main(sys.argv[2:])
+with open("/proc/self/status") as fh:
+    hwm = next(line for line in fh if line.startswith("VmHWM:"))
+with open(sys.argv[1], "w") as fh:
+    fh.write(hwm.split()[1])
+sys.exit(code)
+"""
+
     def _peak_rss_mb(self, tmp_path, argv, code=0):
-        """Max RSS of ``convext <argv>`` run in a child process, which must exit with code."""
+        """Peak RSS of ``convext <argv>`` run in a child process, which must exit with code."""
         src = str(Path(convext.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "convext.cli", *argv, "--report", str(tmp_path / "report.json")]
-        with open(tmp_path / "stderr.txt", "wb") as err:
-            child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
-            _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)     # reaped by wait4
-        assert child.returncode == code, (tmp_path / "stderr.txt").read_text()
-        return usage.ru_maxrss / 1024       # KiB to MiB
+        peak = tmp_path / "peak_kib.txt"
+        argv = [sys.executable, "-c", self.CHILD, str(peak), *argv, "--report", str(tmp_path / "report.json")]
+        child = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        assert child.returncode == code, child.stderr.decode()
+        return int(peak.read_text()) / 1024       # KiB to MiB
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/status is Linux only")
     def test_peak_rss_of_a_large_3d_extend(self, tmp_path):
         # at n = 2000 the dense 33^3 x n generator samples alone took 2.4 GB
         path = self._jet_file(tmp_path, 2000, 3, 1)
         assert self._peak_rss_mb(tmp_path, ["extend", path, "--modulus", "holder:0.5"]) < 600
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/status is Linux only")
     def test_peak_rss_of_a_large_2d_validate(self, tmp_path):
         # the verdict's dense n x n pair matrices alone took 280 MB
         path = self._jet_file(tmp_path, 2000, 2, 1)
         assert self._peak_rss_mb(tmp_path, ["validate", path, "--modulus", "holder:0.5"]) < 150
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/status is Linux only")
     def test_peak_rss_of_a_large_infeasible_validate(self, tmp_path):
         # every ordered pair fails (C): listing them all took 2.96 GB and a 212 MB report
         path = self._jet_file(tmp_path, 2000, 2, 1, sign=-1.0)
@@ -595,7 +638,7 @@ class TestExtendMemory:
         assert report["condition_C"]["count"] == 2000 * 1999
         assert (tmp_path / "report.json").stat().st_size < 2 ** 20
 
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc/self/status is Linux only")
     def test_peak_rss_of_a_large_c1(self, tmp_path):
         # delta1's (hull slopes x front) table alone took 347 MB
         value, grad = random_convex_function(np.random.default_rng(1), 1)

@@ -228,6 +228,27 @@ class TestLipschitzEnvelope1D:
                 assert np.array_equal(got, expected)
                 assert np.array_equal(grid, expected)
 
+    def test_reuse_rule_is_slope_clipping(self, rng):
+        """F_L = F where the hull segment holding x has |slope| <= L gives the
+        clipped hull bit for bit, at every sample and around the vertices
+        where the slopes cross -L and +L."""
+        for n in (2, 3, 5, 8):
+            jet = normalized_jet(rng, 1, n, HolderModulus(0.5))
+            gen = Generator(jet, HolderModulus(0.5), 1.0)
+            sup_g = sup_norm_gradients(jet)
+            for L in (0.5 * sup_g, sup_g):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    model = build_envelope(gen, *_box(jet), 1001, lipschitz_cap=L)
+                hx, hy = model.hull_x, model.hull_y
+                slopes = np.diff(hy) / np.diff(hx)
+                cross = hx[[np.searchsorted(slopes, -L), np.searchsorted(slopes, L, side="right")]]
+                near = [np.nextafter(cross, -np.inf), cross, np.nextafter(cross, np.inf)]
+                x = np.clip(np.concatenate([model.sample_x, *near]), model.lo[0], model.hi[0])
+                F, F_L = model._value_and_lipschitz(x[:, None])
+                assert F_L.tobytes() == model.lipschitz_value_many(x[:, None]).tobytes()
+                assert np.any(F_L == F) and np.any(F_L < F)
+
     def test_capped_bulk_warns_once_per_call(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

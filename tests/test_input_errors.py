@@ -23,6 +23,16 @@ CASES = {
     "table-knot-shape": (lambda: TableModulus([0.0, 1.0]), ValueError, "knots must be an"),
     "table-abscissae": (lambda: TableModulus([[0.0, 0.0], [1.0, 1.0], [1.0, 1.5]]), ValueError,
                         "knot abscissae must be strictly increasing"),
+    "table-knot-nan": (lambda: TableModulus([[0.0, 0.0], [1.0, np.nan], [2.0, 3.0]]), ValueError,
+                       r"knots must be finite, got \[\[0.0, 0.0\], \[1.0, nan\]"),
+    "table-knot-inf": (lambda: TableModulus([[0.0, 0.0], [1.0, 1.0], [np.inf, 3.0]]), ValueError,
+                       "knots must be finite"),
+    "json-scale-inf": (lambda: modulus_from_json({"type": "holder", "alpha": 0.5, "scale": np.inf}),
+                       ValueError, "scale factor must be finite and positive, got inf"),
+    "json-table-no-knots": (lambda: modulus_from_json({"type": "table"}), ValueError,
+                            "modulus JSON of type 'table' is missing 'knots'"),
+    "json-holder-no-alpha": (lambda: modulus_from_json({"type": "holder", "scale": 2.0}), ValueError,
+                             "modulus JSON of type 'holder' is missing 'alpha'"),
     "json-unknown-type": (lambda: modulus_from_json({"type": "gaussian"}), ValueError,
                           "unknown modulus type 'gaussian'"),
     "json-unknown-kind": (lambda: modulus_to_json(object()), TypeError, "cannot serialize modulus"),
