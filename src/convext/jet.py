@@ -172,6 +172,8 @@ class Jet:
         n, d = pts.shape
         if n < 1:
             raise ValueError("a jet needs at least one point")
+        if d < 1:
+            raise ValueError("jet points need at least one coordinate")
         if vals.shape != (n,) or grads.shape != (n, d):
             raise ValueError(
                 f"inconsistent jet shapes: points {pts.shape}, "
@@ -225,9 +227,11 @@ class Jet:
         for key, value in raw.items():
             try:
                 raw[key] = int(value) if key == "dimension" else np.asarray(value, dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"jet JSON field {key!r} is not numeric: {exc}") from exc
         d, pts, vals, grads = raw.values()
+        if isinstance(obj["dimension"], bool) or d != obj["dimension"]:
+            raise ValueError(f"jet JSON field 'dimension' must be an integer, got {obj['dimension']!r}")
         jet = Jet(pts, vals, grads)
         if jet.dimension != d:
             raise ValueError(f"points have dimension {jet.dimension}, expected {d}")

@@ -14,9 +14,10 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
    max <s, x> - g_k*(s) on the sphere |s| = L, whose step is closed form
    (``_on_cap``); else Newton on the KKT system of {k, i}, with i the second
    piece when it is k.  Then a drop/add exchange on the sets still open, of
-   at most d + 1 pieces and spheres;
-3. once per schedule, a smoothed Newton path (tau log sum_k exp(g_k*(s) /
-   tau), penalized outside the cap and the balls) gives a new start for
+   at most d + 1 pieces and spheres, where a full set adds by the ratio
+   test's swap (``_ratio_test``);
+3. once, a smoothed Newton path (tau log sum_k exp(g_k*(s) / tau),
+   penalized outside the cap and the balls) gives a new start for
    ``_ranked``, with the second piece by g_k*(s) as i; then every set of
    ranked elements.
 
@@ -47,9 +48,9 @@ from .jet import _blocks
 __all__ = ["CertificationError", "convex_combination_min"]
 
 TOL = 1e-9                  # certified bracket width, relative to 1 + |g(x)|
-# smoothing levels tau (relative to 1 + |g(x)|) and Newton steps per level;
-# queries the first schedule leaves uncertified start again from the second
-_SCHEDULES = (((1e-2, 1e-4), 3), ((1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), 8))
+# the one smoothed restart of a query the exchange leaves open: smoothing
+# levels tau (relative to 1 + |g(x)|) and Newton steps per level
+_SCHEDULES = (((1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), 8),)
 _LINE = 0.25 ** np.arange(11)    # backtracking step lengths, 1 down to 1e-6
 
 
@@ -77,7 +78,7 @@ def _min_block(generator, X, L):
     F, S, width = g.copy(), s.copy(), np.zeros(len(X))
     Xc = X - generator._origin          # the solve works from the jet's centroid
     rest = np.flatnonzero(~done)
-    for schedule in (None,) + _SCHEDULES:     # the ranked first sets, then the smoothed starts
+    for schedule in (None,) + _SCHEDULES:     # the ranked first sets, then the smoothed start
         if rest.size:
             args = (generator, Xc[rest], g[rest], s[rest], L)
             out = _ranked(*args, active[rest]) if schedule is None else _solve(*args, *schedule)
@@ -115,29 +116,54 @@ def _ranked(gen, X, g, S, L, active=None):
     if off.size:
         F[off], Sout[off], width[off], mult[off] = _certify(gen, X[off], S[off], L, spheres, elem[off])
     for _ in range(2 * K):
-        # exchange on the failed sets: drop the most negative weight; without
-        # one, add a sphere the solution reached, else the largest piece left out
+        # exchange on the failed sets: drop the most negative weight; without one, add a
+        # sphere the solution reached, else the largest piece left out (a full set swaps)
         weights = np.where(elem >= 0, mult, np.inf)
         worst = np.argmin(weights, axis=1)
         low = weights[rows, worst]
         pieces_left = np.sum((elem >= 0) & (elem < n), axis=1) - (elem[rows, worst] < n)
         drop = (width > tol) & (low < 0) & (pieces_left > 0)
-        add = np.flatnonzero((width > tol) & (low >= 0) & np.any(elem < 0, axis=1))
-        if not (drop.any() or add.size):
-            break
+        add = np.flatnonzero((width > tol) & (low >= 0))
         elem[drop, worst[drop]], mult[drop, worst[drop]] = -1, 0.0
         if add.size:
             reached = (spheres[1] - _normals(Sout[add], spheres[0])[1] <= 1e-12 * spheres[1]) & real
             score = np.hstack([gen._conjugates(Sout[add], full=False),
                                np.where(reached, np.inf, -np.inf), np.zeros((add.size, 1))])
             np.put_along_axis(score, np.where(elem[add] >= 0, elem[add], -1), -np.inf, axis=1)
-            free = np.argmin(elem[add], axis=1)
-            elem[add, free], mult[add, free] = np.argmax(score[:, :-1], axis=1), 0.0
+            enter, slot = np.argmax(score[:, :-1], axis=1), np.argmin(elem[add], axis=1)
+            full = elem[add, slot] >= 0
+            if full.any():
+                f = add[full]
+                slot[full] = _ratio_test(gen, Sout[f], spheres, elem[f], mult[f], enter[full])
+            add, enter, slot = add[slot >= 0], enter[slot >= 0], slot[slot >= 0]
+            elem[add, slot], mult[add, slot] = enter, 0.0
+        if not (drop.any() or add.size):
+            break
         redo = np.flatnonzero(drop | np.isin(rows, add))    # restart from the last solution
         start = np.where(np.isfinite(Sout[redo]), Sout[redo], S[redo])
         F[redo], Sout[redo], width[redo], mult[redo] = _certify(
             gen, X[redo], start, L, spheres, elem[redo], np.nan_to_num(mult[redo]))
     return F, Sout, width
+
+
+def _ratio_test(gen, S, spheres, elem, mult, enter):
+    """The slot of each full set elem that the element enter takes at s, or
+    -1: the least weight / beta over beta > 0 (Nocedal and Wright, Numerical
+    Optimization, 16.5), where beta writes the entering column in the set's,
+    (z_k(s), 1) for a piece and (n_j(s), 0) for a sphere.  The last piece
+    never leaves for a sphere."""
+    both = np.column_stack([elem, enter])
+    is_p = both < gen.jet.size
+    cols = np.where(is_p[..., None], gen._conjugates(S, np.where(is_p, both, 0))[1],
+                    _normals(S, spheres[0][np.where(is_p, 0, both - gen.jet.size)])[0])
+    A = np.swapaxes(np.concatenate([cols, is_p[..., None]], axis=2), 1, 2)     # (Q, d + 1, K + 1)
+    try:
+        beta = np.linalg.solve(A[..., :-1], A[..., -1:])[..., 0]
+    except np.linalg.LinAlgError:       # a singular set
+        beta = (np.linalg.pinv(A[..., :-1]) @ A[..., -1:])[..., 0]
+    last = is_p[:, :-1] & (np.sum(is_p, axis=1, keepdims=True) == 1)
+    ratio = np.divide(mult, beta, out=np.full(beta.shape, np.inf), where=(beta > 0) & ~last)
+    return np.where(np.all(np.isinf(ratio), axis=1), -1, np.argmin(ratio, axis=1))
 
 
 def _on_cap(gen, X, S, L, spheres, k):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -439,6 +440,9 @@ def modulus_from_json(obj) -> Modulus:
     need = {"holder": "alpha", "table": "knots"}.get(kind)
     if need is not None and need not in obj:
         raise ValueError(f"modulus JSON of type {kind!r} is missing {need!r}")
+    for key in ("alpha", "scale"):      # JSON numbers only: no null, bool, string or list
+        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], Real)):
+            raise ValueError(f"modulus JSON field {key!r} must be a number, got {obj[key]!r}")
     if kind == "holder":
         m = HolderModulus(obj["alpha"])
     elif kind == "linear":

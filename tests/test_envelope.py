@@ -599,6 +599,17 @@ class TestSolveWork:
         convex_combination_min(gen, X, L if capped else None)
         assert rows == []
 
+    def test_full_sets_swap_instead_of_restarting(self, monkeypatch):
+        # a 30-point 2-D jet capped at sup|G| on the 65^2 grid of [-3, 3]^2:
+        # without the ratio test's swap about 600 rows take a smoothed restart
+        m = HolderModulus(0.5)
+        jet = random_feasible_jet(np.random.default_rng(0), 2, 30)
+        gen = Generator(jet, m, compute_A(jet, m))
+        rows, smoothed = [], lp._smoothed
+        monkeypatch.setattr(lp, "_smoothed", lambda gen, X, *args: rows.append(len(X)) or smoothed(gen, X, *args))
+        convex_combination_min(gen, 3.0 * _grid(65, 2), sup_norm_gradients(jet))
+        assert len(rows) <= 1 and sum(rows) <= 60
+
     def test_cap_bound_rows_build_no_kkt_system(self, monkeypatch):
         gen, X, L = self._case()
         n, calls, sets = gen.jet.size, [], []       # calls: [rows, steps, linear solves] per sphere stage
@@ -672,6 +683,38 @@ class TestSolveWork:
         own = gen._conjugates(S, K[:, None], inside=True)[1]
         assert np.array_equal(own, [old(s[None], G[j][None])[0] for s, j in zip(S, K)])
         assert 0 < np.count_nonzero(own[600:]) < 1800
+
+
+class TestRatioTest:
+    """In a full set the element that comes in takes the slot with the least
+    weight / beta over beta > 0, where beta writes its column in the set's."""
+
+    def _slots(self, elem, mult, enter):
+        # affine pieces (M = 0, so z_k = y_k) with p3 = -p0 / 4 + p1 / 2 + 3 p2 / 4,
+        # and at s = 0 the normals (1, 0), (0, 1), (-1, 0) and (1, 1) / sqrt(2)
+        jet = Jet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.75]], np.zeros(4), np.zeros((4, 2)))
+        spheres = (np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [-1.0, -1.0]]), np.ones(4), np.zeros(4, bool))
+        return lp._ratio_test(Generator(jet, LinearModulus(), 0.0), np.zeros((len(elem), 2)), spheres,
+                              np.array(elem), np.array(mult, dtype=float), np.array(enter)).tolist()
+
+    def test_least_ratio_leaves(self):
+        # piece 3 has beta (-1/4, 1/2, 3/4) in pieces (0, 1, 2): ratios 0.6 and 2/3,
+        # then 1 and 0.4, then (set order 2, 0, 1) 0.4 and 1
+        assert self._slots([[0, 1, 2], [0, 1, 2], [2, 0, 1]], [[0.2, 0.3, 0.5], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+                           [3, 3, 3]) == [1, 2, 0]
+        # sphere 3 (element 7) has beta (0, 1, 1) / sqrt(2) in (piece 0, spheres 0 and 1);
+        # piece 1 has beta (1, 1, 0) there, so a piece may leave for a piece
+        assert self._slots([[0, 4, 5], [0, 4, 5]], [[1.0, 0.2, 0.4], [0.5, 1.0, 1.0]], [7, 1]) == [1, 0]
+
+    def test_no_positive_beta_no_swap(self):
+        # sphere 2's normal is minus sphere 0's: beta = (0, -1, 0)
+        assert self._slots([[0, 4, 5]], [[1.0, 0.5, 0.5]], [6]) == [-1]
+
+    def test_last_piece_never_leaves_for_a_sphere(self, monkeypatch):
+        # its beta is 0 but for rounding; were it positive, its ratio would be
+        # the least, and it is when a piece comes in
+        monkeypatch.setattr(np.linalg, "solve", lambda C, b: np.array([[[1e-3], [-1.0], [0.0]]] * len(C)))
+        assert self._slots([[0, 4, 5], [0, 4, 5]], [[0.0, 0.5, 0.5], [0.0, 0.5, 0.5]], [6, 1]) == [-1, 0]
 
 
 def _smoothed_path(gen, X, L):

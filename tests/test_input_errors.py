@@ -33,6 +33,12 @@ CASES = {
                             "modulus JSON of type 'table' is missing 'knots'"),
     "json-holder-no-alpha": (lambda: modulus_from_json({"type": "holder", "scale": 2.0}), ValueError,
                              "modulus JSON of type 'holder' is missing 'alpha'"),
+    "json-holder-alpha-null": (lambda: modulus_from_json({"type": "holder", "alpha": None}), ValueError,
+                               "modulus JSON field 'alpha' must be a number, got None"),
+    "json-holder-alpha-bool": (lambda: modulus_from_json({"type": "holder", "alpha": True}), ValueError,
+                               "modulus JSON field 'alpha' must be a number, got True"),
+    "json-scale-list": (lambda: modulus_from_json({"type": "linear", "scale": [1]}), ValueError,
+                        r"modulus JSON field 'scale' must be a number, got \[1\]"),
     "json-unknown-type": (lambda: modulus_from_json({"type": "gaussian"}), ValueError,
                           "unknown modulus type 'gaussian'"),
     "json-unknown-kind": (lambda: modulus_to_json(object()), TypeError, "cannot serialize modulus"),
@@ -48,6 +54,15 @@ CASES = {
                            "points have dimension 1, expected 2"),
     "jet-json-dimension-text": (lambda: Jet.from_json(dict(JET_JSON, dimension="x")), ValueError,
                                 "jet JSON field 'dimension' is not numeric"),
+    "jet-json-dimension-fraction": (lambda: Jet.from_json(dict(JET_JSON, dimension=1.7)), ValueError,
+                                    "jet JSON field 'dimension' must be an integer, got 1.7"),
+    "jet-json-dimension-inf": (lambda: Jet.from_json(dict(JET_JSON, dimension=np.inf)), ValueError,
+                               "jet JSON field 'dimension' is not numeric"),
+    "jet-json-dimension-bool": (lambda: Jet.from_json(dict(JET_JSON, dimension=True)), ValueError,
+                                "jet JSON field 'dimension' must be an integer, got True"),
+    "jet-json-zero-dimension": (lambda: Jet.from_json({"dimension": 0, "points": [[], []], "values": [0.0, 1.0],
+                                                       "gradients": [[], []]}), ValueError,
+                                "jet points need at least one coordinate"),
     "jet-json-points-text": (lambda: Jet.from_json(dict(JET_JSON, points=[["a"]])), ValueError,
                              "jet JSON field 'points' is not numeric"),
     "jet-json-values-text": (lambda: Jet.from_json(dict(JET_JSON, values=["a"])), ValueError,
