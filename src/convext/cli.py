@@ -253,16 +253,18 @@ def cmd_report(args) -> int:
     if not isinstance(checks, list):
         raise ValueError(f"report field 'bound_checks' must be a list, got {type(checks).__name__}")
     for c in checks:
-        if not (isinstance(c, dict) and {"name", "passed"} <= c.keys()
+        if not (isinstance(c, dict) and "name" in c and type(c.get("passed")) is bool
                 and all(type(c.get(k)) in (int, float) for k in ("bound", "measured"))):
             raise ValueError(f"each bound check needs a name, a numeric bound and measured, and passed; got {c!r}")
+    if type(verification.get("ok", True)) is not bool:
+        raise ValueError(f"report field 'ok' must be a boolean, got {type(verification['ok']).__name__}")
     rows = [("check", "bound", "measured", "pass")]
     for c in checks:
         rows.append(
             (c["name"], f"{c['bound']:.6g}", f"{c['measured']:.6g}", "yes" if c["passed"] else "NO")
         )
     _print_table(rows)
-    ok = bool(verification.get("ok", all(c["passed"] for c in checks)))
+    ok = verification.get("ok", all(c["passed"] for c in checks))
     print("result:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_FAILED
 

@@ -17,9 +17,9 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
    at most d + 1 pieces and spheres, where a full set adds by the ratio
    test's swap (``_ratio_test``);
 3. once, a smoothed Newton path (tau log sum_k exp(g_k*(s) / tau),
-   penalized outside the cap and the balls) gives a new start for
-   ``_ranked``, with the second piece by g_k*(s) as i; then every set of
-   ranked elements.
+   penalized outside the cap and the balls) gives a new start; then KKT
+   Newton on every set of the pieces and spheres ranked there that holds a
+   piece.
 
 A wrong guess in step 2 or 3 costs time, not soundness: the bracket decides.
 Both Newton methods take three steps on every row, then stop a row once its
@@ -48,9 +48,7 @@ from .jet import _blocks
 __all__ = ["CertificationError", "convex_combination_min"]
 
 TOL = 1e-9                  # certified bracket width, relative to 1 + |g(x)|
-# the one smoothed restart of a query the exchange leaves open: smoothing
-# levels tau (relative to 1 + |g(x)|) and Newton steps per level
-_SCHEDULES = (((1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6), 8),)
+_TAUS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)    # smoothing levels of the restart, relative to 1 + |g(x)|
 _LINE = 0.25 ** np.arange(11)    # backtracking step lengths, 1 down to 1e-6
 
 
@@ -78,12 +76,12 @@ def _min_block(generator, X, L):
     F, S, width = g.copy(), s.copy(), np.zeros(len(X))
     Xc = X - generator._origin          # the solve works from the jet's centroid
     rest = np.flatnonzero(~done)
-    for schedule in (None,) + _SCHEDULES:     # the ranked first sets, then the smoothed start
-        if rest.size:
-            args = (generator, Xc[rest], g[rest], s[rest], L)
-            out = _ranked(*args, active[rest]) if schedule is None else _solve(*args, *schedule)
-            F[rest], S[rest], width[rest] = out
-            rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
+    if rest.size:       # the ranked first sets and the exchange
+        F[rest], S[rest], width[rest] = _ranked(generator, Xc[rest], g[rest], s[rest], L, active[rest])
+        rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
+    if rest.size:       # the smoothed start and every set ranked there
+        F[rest], S[rest], width[rest] = _solve(generator, Xc[rest], g[rest], s[rest], L)
+        rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
     if rest.size:
         k = rest[np.argmax(width[rest] / (1.0 + np.abs(g[rest])))]
         raise CertificationError(f"{rest.size} of {len(X)} queries uncertified; the widest "
@@ -91,10 +89,9 @@ def _min_block(generator, X, L):
     return F, S
 
 
-def _ranked(gen, X, g, S, L, active=None):
+def _ranked(gen, X, g, S, L, active):
     """The ranked set at each start S, then the exchange (step 2 of the
-    module docstring): (F, s, width).  ``active`` is the screen's piece;
-    without a screen the second piece by g_k*(s) stands in for it."""
+    module docstring): (F, s, width).  ``active`` is the screen's piece."""
     (Q, d), n = X.shape, gen.jet.size
     K, rows = d + 1, np.arange(Q)
     tol = TOL * (1.0 + np.abs(g))
@@ -105,7 +102,7 @@ def _ranked(gen, X, g, S, L, active=None):
         S = _onto_cap(S, L)
     order = _ranking(gen, S)
     top, second = order[:, 0], order[:, 1] if n > 1 else np.full(Q, -1)
-    other = second if active is None else np.where(active != top, active, second)
+    other = np.where(active != top, active, second)
     elem = np.column_stack([top, np.where(bind, n, other), np.full((Q, d - 1), -1)])     # element n is the cap
     F, Sout, width, mult = np.empty(Q), np.empty_like(S), np.empty(Q), np.zeros((Q, K))
     on, off = np.flatnonzero(bind), np.flatnonzero(~bind)
@@ -130,6 +127,8 @@ def _ranked(gen, X, g, S, L, active=None):
             score = np.hstack([gen._conjugates(Sout[add], full=False),
                                np.where(reached, np.inf, -np.inf), np.zeros((add.size, 1))])
             np.put_along_axis(score, np.where(elem[add] >= 0, elem[add], -1), -np.inf, axis=1)
+            some = np.max(score[:, :-1], axis=1) > -np.inf     # a row with no candidate takes no add
+            add, score = add[some], score[some]
             enter, slot = np.argmax(score[:, :-1], axis=1), np.argmin(elem[add], axis=1)
             full = elem[add, slot] >= 0
             if full.any():
@@ -221,28 +220,26 @@ def _ranking(gen, S):
     return np.argsort(-gen._conjugates(S, full=False), axis=1, kind="stable")
 
 
-def _solve(gen, X, g, S, L, taus, steps):
-    """Smoothed start, then ``_ranked`` there, then every set of ranked
-    elements: (F, s, width)."""
+def _solve(gen, X, g, S, L):
+    """Smoothed start, then every set of the elements ranked there that holds
+    a piece (step 3 of the module docstring): (F, s, width)."""
     (Q, d), n = X.shape, gen.jet.size
     K, spheres = d + 1, _spheres(gen, L)
-    S, gap = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres, taus, steps)
-    F, Sout, width = _ranked(gen, X, g, S, L)
-    bad = np.flatnonzero(width > TOL * (1.0 + np.abs(g)))
-    if bad.size:        # every set of ranked elements with at least one piece
-        room = spheres[1] - _normals(S, spheres[0])[1]
-        P, B = min(n, d + 2), min(int(np.sum(np.isfinite(spheres[1]))), K)     # ranked pieces and spheres
-        ranked = np.hstack([np.argsort(gap, axis=1, kind="stable")[:, :P],
-                            n + np.argsort(room, axis=1, kind="stable")[:, :B]])
-        sets = np.array([c + (-1,) * (K - len(c)) for size in range(1, K + 1)
-                         for c in combinations(range(P + B), size) if c[0] < P])
-        owner, pick = np.repeat(bad, len(sets)), np.tile(sets, (bad.size, 1))
-        elem = np.where(pick >= 0, np.take_along_axis(ranked[owner], np.maximum(pick, 0), axis=1), -1)
-        Fb, Sb, wb, _ = _blocks(lambda o, e: _certify(gen, X[o], S[o], L, spheres, e), n, owner, elem)
-        best = np.full(Q, np.inf)
-        np.minimum.at(best, owner, wb)
-        win = np.flatnonzero(wb == best[owner])
-        F[owner[win]], Sout[owner[win]], width[owner[win]] = Fb[win], Sb[win], wb[win]
+    S, gap = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres)
+    room = spheres[1] - _normals(S, spheres[0])[1]
+    P, B = min(n, d + 2), min(int(np.sum(np.isfinite(spheres[1]))), K)     # ranked pieces and spheres
+    ranked = np.hstack([np.argsort(gap, axis=1, kind="stable")[:, :P],
+                        n + np.argsort(room, axis=1, kind="stable")[:, :B]])
+    sets = np.array([c + (-1,) * (K - len(c)) for size in range(1, K + 1)
+                     for c in combinations(range(P + B), size) if c[0] < P])
+    owner, pick = np.repeat(np.arange(Q), len(sets)), np.tile(sets, (Q, 1))
+    elem = np.where(pick >= 0, np.take_along_axis(ranked[owner], np.maximum(pick, 0), axis=1), -1)
+    Fb, Sb, wb, _ = _blocks(lambda o, e: _certify(gen, X[o], S[o], L, spheres, e), n, owner, elem)
+    best = np.full(Q, np.inf)
+    np.minimum.at(best, owner, wb)
+    win = np.flatnonzero(wb == best[owner])
+    F, Sout, width = np.empty(Q), np.empty_like(S), np.empty(Q)
+    F[owner[win]], Sout[owner[win]], width[owner[win]] = Fb[win], Sb[win], wb[win]
     return F, Sout, width
 
 
@@ -266,10 +263,10 @@ def _normals(S, centers):
         return np.nan_to_num(V / dist[..., None]), dist
 
 
-def _smoothed(gen, X, S, scale, spheres, taus, steps):
+def _smoothed(gen, X, S, scale, spheres):
     """Newton with backtracking on tau log sum_k exp(g_k*(s) / tau) - <s, x>
-    + (1 + |x|^2) / (2 tau) sum_j max(0, |s - c_j| - rho_j)^2, for each tau
-    in taus (times scale).  Returns s and the gaps max_j g_j*(s) - g_k*(s)."""
+    + (1 + |x|^2) / (2 tau) sum_j max(0, |s - c_j| - rho_j)^2, eight steps for
+    each tau in _TAUS (times scale).  Returns s and the gaps max_j g_j*(s) - g_k*(s)."""
     weight = 1.0 + np.sum(X * X, axis=1)
 
     def objective(S, c, dist, X, tau, weight):
@@ -278,9 +275,9 @@ def _smoothed(gen, X, S, scale, spheres, taus, steps):
         val += 0.5 * weight / tau * np.sum(np.maximum(dist - spheres[1], 0.0) ** 2, axis=1)
         return np.nan_to_num(val - np.einsum("ij,ij->i", S, X), nan=np.inf)
 
-    for rel in taus:
+    for rel in _TAUS:
         live = np.arange(len(X))
-        for _ in range(steps):
+        for _ in range(8):
             if not live.size:
                 break
             s, x, tau, wt = S[live], X[live], rel * scale[live], weight[live]

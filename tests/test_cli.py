@@ -569,7 +569,12 @@ class TestReport:
          "each bound check needs a name, a numeric bound and measured, and passed; got {"),
         ('{"bound_checks": [{"name": "c", "bound": 1.0, "measured": null, "passed": true}]}',
          "each bound check needs a name"),
-    ], ids=["list", "string", "verification-list", "checks-int", "check-int", "bound-text", "measured-null"])
+        ('{"ok": "false", "bound_checks": [{"name": "a", "bound": 1.0, "measured": 2.0, "passed": "no"}]}',
+         "each bound check needs a name, a numeric bound and measured, and passed; got {"),
+        ('{"ok": "false", "bound_checks": [{"name": "a", "bound": 1.0, "measured": 2.0, "passed": false}]}',
+         "report field 'ok' must be a boolean, got str"),
+    ], ids=["list", "string", "verification-list", "checks-int", "check-int", "bound-text", "measured-null",
+            "passed-text", "ok-text"])
     def test_malformed_report_is_input_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "rep.json"
         path.write_text(text)

@@ -610,6 +610,39 @@ class TestSolveWork:
         convex_combination_min(gen, 3.0 * _grid(65, 2), sup_norm_gradients(jet))
         assert len(rows) <= 1 and sum(rows) <= 60
 
+    def test_the_restart_ranks_no_second_set(self, monkeypatch):
+        # the jet above, whose capped grid rows reach the smoothed restart: it goes
+        # straight to every ranked set, so each block ranks its first sets once
+        m = HolderModulus(0.5)
+        jet = random_feasible_jet(np.random.default_rng(0), 2, 30)
+        gen = Generator(jet, m, compute_A(jet, m))
+        blocks, ranked, rows = [], [], []
+        min_block, rank, smoothed = lp._min_block, lp._ranked, lp._smoothed
+        monkeypatch.setattr(lp, "_min_block", lambda *args: blocks.append(1) or min_block(*args))
+        monkeypatch.setattr(lp, "_ranked", lambda *args: ranked.append(1) or rank(*args))
+        monkeypatch.setattr(lp, "_smoothed", lambda gen, X, *args: rows.append(len(X)) or smoothed(gen, X, *args))
+        F = convex_combination_min(gen, 3.0 * _grid(65, 2), sup_norm_gradients(jet))[0]     # raises if a row stays open
+        assert sum(rows) > 0 and len(ranked) == len(blocks) and np.all(np.isfinite(F))
+
+    def test_a_row_with_no_candidate_takes_no_add(self, monkeypatch):
+        # both pieces of the jet of |x|^2 / 2 fill the set and no sphere is reached:
+        # with every bracket open, the add rule has nothing left to put in
+        jet = Jet([[0.0, 0.0], [1.0, 0.0]], [0.0, 0.5], [[0.0, 0.0], [1.0, 0.0]])
+        sets, certify = [], lp._certify
+
+        def spy(*args):
+            sets.append(args[5])
+            F, S, width, mult = certify(*args)
+            return F, S, np.full_like(width, np.inf), mult
+
+        monkeypatch.setattr(lp, "_certify", spy)
+        with pytest.raises(CertificationError):
+            convex_combination_min(Generator(jet, LinearModulus(), 3.0), [[0.5, 0.0], [0.45, 0.3], [0.55, -0.2]])
+        assert sets
+        for elem in sets:
+            for row in elem:
+                assert len(set(row[row >= 0])) == np.count_nonzero(row >= 0)
+
     def test_cap_bound_rows_build_no_kkt_system(self, monkeypatch):
         gen, X, L = self._case()
         n, calls, sets = gen.jet.size, [], []       # calls: [rows, steps, linear solves] per sphere stage
@@ -723,10 +756,9 @@ def _smoothed_path(gen, X, L):
     if L is not None:
         done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
     F, width, rest = g.copy(), np.zeros(len(X)), np.flatnonzero(~done)
-    for taus, steps in lp._SCHEDULES:
-        if rest.size:
-            F[rest], _, width[rest] = lp._solve(gen, X[rest] - gen._origin, g[rest], s[rest], L, taus, steps)
-            rest = rest[~(width[rest] <= lp.TOL * (1.0 + np.abs(g[rest])))]
+    if rest.size:
+        F[rest], _, width[rest] = lp._solve(gen, X[rest] - gen._origin, g[rest], s[rest], L)
+        rest = rest[~(width[rest] <= lp.TOL * (1.0 + np.abs(g[rest])))]
     assert rest.size == 0
     return F, g, ~done
 
