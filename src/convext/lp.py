@@ -19,7 +19,7 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 3. once, a smoothed Newton path (tau log sum_k exp(g_k*(s) / tau),
    penalized outside the cap and the balls) gives a new start; then KKT
    Newton on every set of the pieces and spheres ranked there that holds a
-   piece.
+   piece, and ``_on_cap`` with the top piece where that start is off the cap.
 
 A wrong guess in step 2 or 3 costs time, not soundness: the bracket decides.
 Both Newton methods take three steps on every row, then stop a row once its
@@ -222,7 +222,7 @@ def _ranking(gen, S):
 
 def _solve(gen, X, g, S, L):
     """Smoothed start, then every set of the elements ranked there that holds
-    a piece (step 3 of the module docstring): (F, s, width)."""
+    a piece, and ``_on_cap`` off the cap (step 3 of the module docstring)."""
     (Q, d), n = X.shape, gen.jet.size
     K, spheres = d + 1, _spheres(gen, L)
     S, gap = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres)
@@ -235,12 +235,14 @@ def _solve(gen, X, g, S, L):
     owner, pick = np.repeat(np.arange(Q), len(sets)), np.tile(sets, (Q, 1))
     elem = np.where(pick >= 0, np.take_along_axis(ranked[owner], np.maximum(pick, 0), axis=1), -1)
     Fb, Sb, wb, _ = _blocks(lambda o, e: _certify(gen, X[o], S[o], L, spheres, e), n, owner, elem)
-    best = np.full(Q, np.inf)
-    np.minimum.at(best, owner, wb)
-    win = np.flatnonzero(wb == best[owner])
-    F, Sout, width = np.empty(Q), np.empty_like(S), np.empty(Q)
-    F[owner[win]], Sout[owner[win]], width[owner[win]] = Fb[win], Sb[win], wb[win]
-    return F, Sout, width
+    on = np.flatnonzero(np.sqrt(np.sum(S * S, axis=1)) > L) if L is not None else []
+    if len(on):     # a start outside the cap also tries its top piece on the sphere
+        T = _onto_cap(S[on], L)
+        Fc, Sc, wc = _on_cap(gen, X[on], T, L, spheres, _ranking(gen, T)[:, 0])
+        owner, Fb, Sb, wb = (np.concatenate(p) for p in ((owner, on), (Fb, Fc), (Sb, Sc), (wb, wc)))
+    last = np.lexsort((-wb, owner))     # by row, each row's narrowest bracket last
+    win = last[np.append(owner[last][1:] > owner[last][:-1], True)]
+    return Fb[win], Sb[win], wb[win]
 
 
 def _spheres(gen, L):

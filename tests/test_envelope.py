@@ -624,6 +624,24 @@ class TestSolveWork:
         F = convex_combination_min(gen, 3.0 * _grid(65, 2), sup_norm_gradients(jet))[0]     # raises if a row stays open
         assert sum(rows) > 0 and len(ranked) == len(blocks) and np.all(np.isfinite(F))
 
+    def test_a_start_off_the_cap_also_tries_the_sphere(self, monkeypatch):
+        # rr(200, 2, 5) of bench/inputs.py with points x 1e4 and G / 1e4, Hoelder 0.75:
+        # the query's smoothed start lies off the cap, where KKT Newton on {top piece,
+        # cap} from cap weight 0 ends at another stationary point; _on_cap closes it
+        P = 1e4 * np.array([[0.05346579978357813, -0.7728287135885128], [-0.7175177081145412, -0.10630456787058407],
+                            [0.00298253124153125, 0.570727761744996], [-0.9176384824210126, -0.45611976846977353],
+                            [0.6993770333997364, 0.8393576945366492]])
+        f = [0.07574669719236933, 0.6225251234313232, 0.6399964451527209, 0.888724872656921, 1.2967563512085403]
+        G = np.array([[-0.18721636430604988, -0.4071861366711027], [-1.312075252581869, 0.32980518714756796],
+                      [-0.17849253241205, 1.2666493068286402], [-1.6701267809043117, -0.14529295968009212],
+                      [0.9503564613509268, 1.6617387800189223]]) / 1e4
+        jet, m = Jet(P, f, G), HolderModulus(0.75)
+        rows, solve = [], lp._solve
+        monkeypatch.setattr(lp, "_solve", lambda gen, X, *args: rows.append(len(X)) or solve(gen, X, *args))
+        x = [[-9152.28994267356, 7965.707102396835]]
+        convex_combination_min(Generator(jet, m, compute_A(jet, m)), x, sup_norm_gradients(jet))     # raises if open
+        assert rows == [1]
+
     def test_a_row_with_no_candidate_takes_no_add(self, monkeypatch):
         # both pieces of the jet of |x|^2 / 2 fill the set and no sphere is reached:
         # with every bracket open, the add rule has nothing left to put in
