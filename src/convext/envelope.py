@@ -14,8 +14,10 @@ the convex envelope F = conv(g), sandwiched between m and g; the variant
 with the sharp Lipschitz constant is the largest convex L-Lipschitz
 function below g, F_L(x) = inf_y F(y) + L |x - y|.  Both g and m come
 from the kernels ``jet._planes`` and ``jet._pairwise_dist``, so g(y_k) =
-m(y_k) = f_k exactly, and they run on row blocks of ``jet._blocks``, so
-no (queries, pieces) temporary outgrows a fixed element budget.
+m(y_k) = f_k exactly, and they run on row blocks of ``jet._blocks`` with
+the n pieces as the per-row width, so no (queries, pieces) temporary
+outgrows ``jet._BUDGET`` = 2^16 elements, 512 KB of float64, which keeps
+a kernel's few temporaries inside a 2 MB L2 cache.
 
 * d = 1: sample g over a box on a uniform grid plus all jet points and take
   the lower convex hull of the planar graph (one monotone-chain pass).

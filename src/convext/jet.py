@@ -33,7 +33,9 @@ c1 construction's delta and delta1 are evaluated on the front only.
 
 One rule, ``_verdict``, decides both conditions and builds the front in
 one pass over row blocks of the pairs; the front of a union is the front
-of the block fronts.  A = +inf exactly when a condition fails.
+of the block fronts.  The blocks share one set of bucket minima, so a
+block drops the pairs that an earlier block dominates, and their fronts
+go into one growing buffer.  A = +inf exactly when a condition fails.
 Infeasibility is reported as A = +inf, never as an exception, except where
 an operation cannot even be posed (see ``InfeasibleJetError`` users).
 
@@ -43,12 +45,14 @@ axis at a time with no (n, n, d) temporary, so nothing depends on the
 origin: a plane is exactly f_k at p_k and a distance exactly 0 at p_k.
 Every kernel of queries against the n pieces, the pair passes of the
 verdict and of ``lip_omega_gradients`` among them, runs on row blocks of
-``_blocks``, at most ``_BUDGET`` rows times pieces at a time; of the jet's
-pairs, only ``pair_defects`` forms n x n arrays.  Reports list at most
-``_KEEP`` pairs per condition and ``_KEEP`` pair constants, the worst and
-the largest, beside the totals, so their size does not grow with n.  A jet
-may not repeat a point exactly; close but distinct points are pairs like
-any other, and the verdict decides them.
+``_blocks``: a block's rows times the kernel's per-row width, here the n
+pieces, stay within ``_BUDGET`` = 2^16 elements, so each float64
+temporary takes at most 512 KB and a few of them fit a 2 MB L2 cache.
+Of the jet's pairs, only ``pair_defects`` forms n x n arrays.  Reports
+list at most ``_KEEP`` pairs per condition and ``_KEEP`` pair constants,
+the worst and the largest, beside the totals, so their size does not grow
+with n.  A jet may not repeat a point exactly; close but distinct points
+are pairs like any other, and the verdict decides them.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ __all__ = [
 ]
 
 
-_BUDGET = 2 ** 18            # rows times columns of one block of a kernel
+_BUDGET = 2 ** 16            # rows times columns of one block of a kernel: 512 KB of float64
 _KEEP = 10                   # violations per condition, and pair constants, that a report lists
 _SHOWN = 5                   # violating pairs that an InfeasibleJetError names
 
@@ -85,8 +89,9 @@ _SHOWN = 5                   # violating pairs that an InfeasibleJetError names
 def _blocks(fn, columns, *arrays):
     """fn on blocks of at most _BUDGET // columns rows of the arrays, which
     share their first axis, with the results (arrays, or tuples of arrays)
-    joined along it.  So each (rows, columns) temporary of fn stays within
-    the budget; fn must treat rows independently."""
+    joined along it.  columns is fn's per-row width, so each (rows, columns)
+    temporary of fn stays within the budget; fn must treat rows
+    independently."""
     size = max(1, _BUDGET // columns)
     if len(arrays[0]) <= size:
         return fn(*arrays)
@@ -252,7 +257,7 @@ def _defects(P, f, G):
     return f[:, None] - _planes(P, f, G, P), _pairwise_dist(G, G), _pairwise_dist(P, P)
 
 
-def _pareto_pairs(C, S):
+def _pareto_pairs(C, S, buckets=None):
     """The ordered pairs (i, j, c, s) on the Pareto front of (c, s).
 
     c = max(C, 0) and s = S are rows of ``pair_defects`` (a row block of the
@@ -262,27 +267,31 @@ def _pareto_pairs(C, S):
     large at A as at B.  Pairs with s = 0 never decide one, and exact ties
     are all kept.  The arrays come back in row-major order of (C, S).
 
-    A prefilter first drops pairs that are strictly dominated.  The pairs
-    go into about sqrt(N) equal-width buckets of s; the bucket index
-    floor((s - lo) / (hi - lo) * B) never decreases as s grows, so a pair
-    in a higher bucket has a strictly larger s.  A pair whose c exceeds the
-    least c of all higher buckets is therefore dominated by a pair with
-    larger s and smaller c, as are its exact ties, which share its bucket.
-    Following such pairs up the buckets ends at a pair on the front, so
-    the dropped pairs change no survivor's verdict, and the exact sort
-    below runs on the survivors only.
+    A prefilter first drops pairs that are strictly dominated.  ``buckets``
+    is (least, hi): B equal-width buckets of s over [0, hi], which must hold
+    every s, and the least c seen in each, with an inf after the last; by
+    default about sqrt(N) fresh buckets over this call's pairs.  The bucket
+    index floor(s / hi * B) never decreases as s grows, so a pair in a
+    higher bucket has a strictly larger s.  This call's pairs lower the
+    minima first, so a pair whose c exceeds the least c of all higher
+    buckets is dominated by a pair with larger s and smaller c, of this call
+    or of an earlier one that shared the buckets, as are its exact ties,
+    which share its bucket (Kung, Luccio and Preparata, JACM 22, 1975).
+    Following such pairs up the buckets ends at a pair on the front of all
+    the pairs seen, so the dropped pairs change no survivor's verdict, and
+    the exact sort below runs on the survivors only.
     """
     # the merge holds every pair of a dense jet, so temporaries are freed as they go
     flat = np.flatnonzero(S > 0.0)
     c, s = np.maximum(C.ravel()[flat], 0.0), S.ravel()[flat]
-    lo, hi = np.min(s, initial=np.inf), np.max(s, initial=0.0)
-    if hi > lo:
-        B = int(np.sqrt(s.size))
-        bucket = s - lo
-        bucket /= hi - lo
+    if buckets is None:
+        buckets = np.full(int(np.sqrt(s.size)) + 1, np.inf), np.max(s, initial=0.0)
+    least, hi = buckets
+    B = least.size - 1
+    if B > 1:
+        bucket = s / hi
         bucket *= B
         bucket = np.clip(np.floor(bucket, out=bucket), 0, B - 1, out=bucket).astype(np.intp)
-        least = np.full(B + 1, np.inf)
         np.minimum.at(least, bucket, c)
         above = np.minimum.accumulate(least[::-1])[::-1][1:]    # least c of the higher buckets
         keep = c <= above[bucket]
@@ -340,7 +349,7 @@ class _Verdict:
     condition_C: ConditionReport
     condition_CW1: ConditionReport
     error: Optional[InfeasibleJetError]     # names the first failing condition
-    front: tuple                            # ``_pareto_pairs`` of all pairs, (i, j, c, s); partial once (C) fails
+    front: tuple                            # ``_pareto_pairs`` of all pairs, (i, j, c, s); () once (C) fails
 
 
 def _found(i, j, r, key, keep):
@@ -351,10 +360,46 @@ def _found(i, j, r, key, keep):
     return np.array([i.size]), i[w], j[w], r[w], i[:_SHOWN].copy(), j[:_SHOWN].copy()
 
 
-def _verdict_rows(jet: Jet, tol: float, keep, rows):
+class _Fronts:
+    """The block fronts of one verdict: ``_pareto_pairs`` of each block, in
+    one growing buffer, with bucket minima that every block shares, over
+    [0, 2 max_k |G_k - mean G|], which holds every gradient gap.  So a block
+    drops the pairs that an earlier block dominates."""
+
+    def __init__(self, jet: Jet):
+        G = jet.gradients
+        hi = 2.0 * float(np.max(_pairwise_dist(G, np.mean(G, axis=0, keepdims=True))))
+        self.buckets = np.full(jet.size + 1, np.inf), hi
+        self.held = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0))
+        self.size, self.blocks = 0, 0
+
+    def add(self, rows, C, S):
+        """Keep the front of the block of pairs (y, z) with y in rows."""
+        i, j, c, s = _pareto_pairs(C, S, self.buckets)
+        end = self.size + i.size
+        if end > self.held[0].size:     # double; the tail stays untouched, so not resident, until written
+            grown = tuple(np.empty(2 * end, h.dtype) for h in self.held)
+            for g, h in zip(grown, self.held):
+                g[:self.size] = h[:self.size]
+            self.held = grown
+        for h, part in zip(self.held, (rows[i], j, c, s)):
+            h[self.size:end] = part
+        self.size, self.blocks = end, self.blocks + 1
+
+    def front(self):
+        """(i, j, c, s) of the front of the blocks, in row-major order: the
+        front of a union is the front of the block fronts."""
+        i, j, c, s = (h[:self.size] for h in self.held)
+        if self.blocks < 2:
+            return i, j, c, s
+        _, k, c, s = _pareto_pairs(c[None, :], s[None, :], self.buckets)
+        return i[k], j[k], c, s
+
+
+def _verdict_rows(jet: Jet, tol: float, keep, rows, fronts):
     """The verdict on the ordered pairs (y, z) with y in rows: ``_found`` of
-    its (C) and of its (CW1) violations, and its front, which is left empty
-    where (C) fails: no reader takes it then."""
+    its (C) and of its (CW1) violations.  Its front goes to ``fronts``
+    unless (C) fails here: no reader takes a front then."""
     P, f, G = jet.points, jet.values, jet.gradients
     C = f[rows, None] - _planes(P, f, G, P[rows])
     S = _pairwise_dist(G[rows], G)
@@ -362,14 +407,10 @@ def _verdict_rows(jet: Jet, tol: float, keep, rows):
     below[np.arange(len(rows)), rows] = False
     ci, cj = np.nonzero(below)
     wi, wj = np.nonzero((C <= 0.0) & (S > 0.0) & ~below)
-    if ci.size:
-        fi = fj = np.zeros(0, dtype=np.intp)
-        fc = fs = np.zeros(0)
-    else:
-        fi, fj, fc, fs = _pareto_pairs(C, S)
+    if not ci.size:
+        fronts.add(rows, C, S)
     c, s = C[ci, cj], S[wi, wj]
-    return (*_found(rows[ci], cj, c, c, keep), *_found(rows[wi], wj, s, -s, keep),
-            rows[fi], fj, fc, fs)
+    return (*_found(rows[ci], cj, c, c, keep), *_found(rows[wi], wj, s, -s, keep))
 
 
 def _verdict(jet: Jet, tol: float, keep=_KEEP) -> _Verdict:
@@ -378,18 +419,13 @@ def _verdict(jet: Jet, tol: float, keep=_KEEP) -> _Verdict:
     With slack = tol (1 + |f(y)| + |f(z)|), an ordered pair violates (C)
     when C < -slack (residual C) and (CW1) when -slack <= C <= 0 and S > 0
     (residual S).  Every other pair with S > 0 has c = C > 0, so both routes
-    to A are finite exactly when neither condition fails.  The front of a
-    union is the front of the block fronts, which ``_pareto_pairs`` merges.
-    Each condition report keeps its ``keep`` worst violations (most negative
-    C, largest S; all of them when keep is None), chosen among the block
-    winners, and the count of all.
+    to A are finite exactly when neither condition fails.  ``_Fronts``
+    merges the block fronts.  Each condition report keeps its ``keep``
+    worst violations (most negative C, largest S; all of them when keep is
+    None), chosen among the block winners, and the count of all.
     """
-    n = jet.size
-    parts = _blocks(lambda rows: _verdict_rows(jet, tol, keep, rows), n, np.arange(n))
-    front = list(parts[12:])
-    if n * n > _BUDGET and parts[1].size == 0:     # more than one block, and (C) holds
-        _, k, c, s = _pareto_pairs(front[2][None, :], front[3][None, :])
-        front = [front[0][k], front[1][k], c, s]
+    n, fronts = jet.size, _Fronts(jet)
+    parts = _blocks(lambda rows: _verdict_rows(jet, tol, keep, rows, fronts), n, np.arange(n))
     conds, failed = [], None
     for name, (count, i, j, r, fi, fj), sign in (("condition_C", parts[:6], 1.0),
                                                   ("condition_CW1", parts[6:12], -1.0)):
@@ -400,7 +436,7 @@ def _verdict(jet: Jet, tol: float, keep=_KEEP) -> _Verdict:
             failed = InfeasibleJetError(name, cond.violations, cond.count,
                                         list(zip(fi.tolist(), fj.tolist())))
         conds.append(cond)
-    return _Verdict(*conds, failed, tuple(front))
+    return _Verdict(*conds, failed, fronts.front() if conds[0].ok else ())
 
 
 def check_condition_C(jet: Jet, tol: float = 1e-9) -> ConditionReport:

@@ -21,6 +21,13 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
    Newton on every set of the pieces and spheres ranked there that holds a
    piece, and ``_on_cap`` with the top piece where that start is off the cap.
 
+The screen runs on row blocks of ``jet._blocks`` with the n pieces as its
+per-row width.  Steps 2 and 3 run once per block of open rows, with the
+(d + 1) d coordinates of one set as the per-row width, so their fixed
+cost is paid once per call on most grids; inside them each pass over all
+n pieces (``_ranking``, the exchange's ``_entering``, the lower end of
+``_bracket`` and all of step 3) runs on blocks of the n pieces' width.
+
 A wrong guess in step 2 or 3 costs time, not soundness: the bracket decides.
 Both Newton methods take three steps on every row, then stop a row once its
 s-step fails to halve or falls to rounding: the row has converged or sits
@@ -60,31 +67,33 @@ def convex_combination_min(generator, X, L=None):
     """F(x) = conv(g)(x), or F_L(x) when L is given, and the maximizer s* at
     the rows of X (Q, d): arrays (Q,) and (Q, d)."""
     X = np.asarray(X, dtype=float).reshape(-1, generator.jet.dimension)
-    return _blocks(lambda X: _min_block(generator, X, L), generator.jet.size, X)
-
-
-def _min_block(generator, X, L):
-    """``convex_combination_min`` on one block of queries."""
+    (Q, d), n = X.shape, generator.jet.size
     if L is not None and L == 0:        # the dual feasible set is {0}
-        c, inside = generator._conjugates(np.zeros((1, X.shape[1])), inside=True)
+        c, inside = generator._conjugates(np.zeros((1, d)), inside=True)
         if not inside[0]:
             raise CertificationError("the cap L = 0 lies outside the conjugate domain")
-        return np.full(len(X), -np.max(c)), np.zeros_like(X)
-    done, g, s, active = generator._exposed(X, -TOL)
+        return np.full(Q, -np.max(c)), np.zeros_like(X)
+    done, g, s, active = _blocks(lambda X: generator._exposed(X, -TOL), n, X)
     if L is not None:
         done &= np.sqrt(np.sum(s * s, axis=1)) <= L * (1.0 + 1e-12)
-    F, S, width = g.copy(), s.copy(), np.zeros(len(X))
-    Xc = X - generator._origin          # the solve works from the jet's centroid
+    F, S, width = g.copy(), s.copy(), np.zeros(Q)
+
+    def stages(X, g, s, active):     # steps 2 and 3, once per block of open rows
+        F, S, width = _ranked(generator, X, g, s, L, active)
+        rest = np.flatnonzero(~(width <= TOL * (1.0 + np.abs(g))))
+        if rest.size:
+            F[rest], S[rest], width[rest] = _blocks(lambda X, g, s: _solve(generator, X, g, s, L),
+                                                    n, X[rest], g[rest], s[rest])
+        return F, S, width
+
     rest = np.flatnonzero(~done)
-    if rest.size:       # the ranked first sets and the exchange
-        F[rest], S[rest], width[rest] = _ranked(generator, Xc[rest], g[rest], s[rest], L, active[rest])
-        rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
-    if rest.size:       # the smoothed start and every set ranked there
-        F[rest], S[rest], width[rest] = _solve(generator, Xc[rest], g[rest], s[rest], L)
+    if rest.size:       # the solve works from the jet's centroid
+        F[rest], S[rest], width[rest] = _blocks(stages, (d + 1) * d, X[rest] - generator._origin,
+                                                g[rest], s[rest], active[rest])
         rest = rest[~(width[rest] <= TOL * (1.0 + np.abs(g[rest])))]
     if rest.size:
         k = rest[np.argmax(width[rest] / (1.0 + np.abs(g[rest])))]
-        raise CertificationError(f"{rest.size} of {len(X)} queries uncertified; the widest "
+        raise CertificationError(f"{rest.size} of {Q} queries uncertified; the widest "
                                  f"bracket is {width[k]:.3g} at x = {X[k].tolist()}")
     return F, S
 
@@ -96,7 +105,6 @@ def _ranked(gen, X, g, S, L, active):
     K, rows = d + 1, np.arange(Q)
     tol = TOL * (1.0 + np.abs(g))
     spheres, bind = _spheres(gen, L), np.zeros(Q, dtype=bool)
-    real = np.isfinite(spheres[1])
     if L is not None:
         bind = np.sqrt(np.sum(S * S, axis=1)) > L
         S = _onto_cap(S, L)
@@ -123,13 +131,9 @@ def _ranked(gen, X, g, S, L, active):
         add = np.flatnonzero((width > tol) & (low >= 0))
         elem[drop, worst[drop]], mult[drop, worst[drop]] = -1, 0.0
         if add.size:
-            reached = (spheres[1] - _normals(Sout[add], spheres[0])[1] <= 1e-12 * spheres[1]) & real
-            score = np.hstack([gen._conjugates(Sout[add], full=False),
-                               np.where(reached, np.inf, -np.inf), np.zeros((add.size, 1))])
-            np.put_along_axis(score, np.where(elem[add] >= 0, elem[add], -1), -np.inf, axis=1)
-            some = np.max(score[:, :-1], axis=1) > -np.inf     # a row with no candidate takes no add
-            add, score = add[some], score[some]
-            enter, slot = np.argmax(score[:, :-1], axis=1), np.argmin(elem[add], axis=1)
+            enter = _blocks(lambda S, elem: _entering(gen, S, spheres, elem), n, Sout[add], elem[add])
+            add, enter = add[enter >= 0], enter[enter >= 0]     # a row with no candidate takes no add
+            slot = np.argmin(elem[add], axis=1)
             full = elem[add, slot] >= 0
             if full.any():
                 f = add[full]
@@ -215,9 +219,32 @@ def _onto_cap(S, L):
         return S * np.minimum(1.0, L / np.sqrt(np.sum(S * S, axis=1)))[:, None]
 
 
+def _entering(gen, S, spheres, elem):
+    """The element that each set elem takes in at s: a sphere the solution
+    reached, else the largest g_k*(s) left out; -1 where every candidate is
+    in the set."""
+    reached = (spheres[1] - _normals(S, spheres[0])[1] <= 1e-12 * spheres[1]) & np.isfinite(spheres[1])
+    score = np.hstack([gen._conjugates(S, full=False), np.where(reached, np.inf, -np.inf), np.zeros((len(S), 1))])
+    np.put_along_axis(score, np.where(elem >= 0, elem, -1), -np.inf, axis=1)
+    enter = np.argmax(score[:, :-1], axis=1)
+    return np.where(score[np.arange(len(S)), enter] > -np.inf, enter, -1)
+
+
 def _ranking(gen, S):
-    """The pieces in decreasing order of g_k*(s) at each row of S."""
-    return np.argsort(-gen._conjugates(S, full=False), axis=1, kind="stable")
+    """The top two pieces by g_k*(s) at each row of S (one where n = 1), by
+    two argmax passes over blocks of rows with NaN ranked as -inf.  As
+    g_k*(s) > -inf at finite s, these are the first two columns of a stable
+    argsort of -g_k*(s): the first index wins a tie, and NaN goes last."""
+    def top_two(S):
+        c = gen._conjugates(S, full=False)
+        c[np.isnan(c)] = -np.inf
+        top = np.argmax(c, axis=1)
+        c[np.arange(len(S)), top] = -np.inf
+        second = np.argmax(c, axis=1)
+        # every other piece at -inf: the argmax is index 0, which is top when top is 0
+        return np.column_stack([top, np.where(second == top, 1, second)])[:, :c.shape[1]]
+
+    return _blocks(top_two, gen.jet.size, S)
 
 
 def _solve(gen, X, g, S, L):
@@ -370,8 +397,12 @@ def _bracket(gen, X, S, L, spheres, is_p, pidx, sidx, mult):
     jet = gen.jet
     if L is not None:
         S = _onto_cap(S, L)
-    c, inside = gen._conjugates(S, inside=True)
-    lower = np.where(inside, np.einsum("ij,ij->i", S, X) - np.max(c, axis=1), -np.inf)
+
+    def lower(S, X):
+        c, inside = gen._conjugates(S, inside=True)
+        return np.where(inside, np.einsum("ij,ij->i", S, X) - np.max(c, axis=1), -np.inf)
+
+    lower = _blocks(lower, jet.size, S, X)
     lam = np.where(is_p, np.maximum(mult, 0.0), 0.0)
     total = np.sum(lam, axis=1)
     lam /= np.maximum(total, 1e-300)[:, None]

@@ -248,8 +248,11 @@ class TableModulus(Modulus):
     def _phi(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.clip(np.searchsorted(self._t, t, side="right") - 1, 0, len(self._t) - 1)
-        # omega is affine on [t_idx, t], so one trapezoid finishes the integral
-        return self._Phi[idx] + (t - self._t[idx]) * (self._w[idx] + self._omega(t)) / 2.0
+        # omega is affine on [t_idx, t], the last segment open, so one trapezoid
+        # finishes the integral; omega(t) is read on the segment found
+        step = t - self._t[idx]
+        w = self._w[idx]
+        return self._Phi[idx] + step * (w + (w + self._seg_slopes[idx] * step)) / 2.0
 
     def _conjugate(self, s):
         s = np.asarray(s, dtype=float)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from convext.c1 import (
     delta1_value,
     delta_many,
 )
+from convext.envelope import Generator
 from convext.fixtures import two_point_power_jet
 from convext.jet import (
     InfeasibleJetError,
@@ -204,6 +206,21 @@ class TestConstruction:
             cm = build_construction(jet, alpha=1.0)
             A = seminorm_A_extrinsic(jet, cm.omega)
             assert A <= cm.M + 1e-6
+
+    def test_generator_samples_in_cache_sized_blocks(self):
+        # the benchmark's c1 job: the generator of its construction over 4060 hull
+        # samples held 13 MB of temporaries in blocks of 2^18 elements
+        jet = dense_restriction_jet(np.random.default_rng(0), n=60)
+        cm = build_construction(jet)
+        gen = Generator(jet, cm.omega, cm.M)
+        X = np.linspace(-3.0, 3.0, 4060)[:, None]
+        tracemalloc.start()
+        try:
+            gen.value_many(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -437,7 +437,7 @@ def test_pair_defects_passes_per_command(halfsq_file, monkeypatch, capsys, comma
 def test_pareto_fronts_per_command(halfsq_file, monkeypatch, capsys, command, fronts):
     calls = []
     original = jet._pareto_pairs
-    monkeypatch.setattr(jet, "_pareto_pairs", lambda C, S: calls.append(1) or original(C, S))
+    monkeypatch.setattr(jet, "_pareto_pairs", lambda *args: calls.append(1) or original(*args))
     argv = [command, halfsq_file] + (["--modulus", "linear"] if command != "c1" else [])
     main(argv + (["--samples", "100"] if command in ("extend", "c1") else []))
     assert len(calls) == fronts
@@ -451,7 +451,7 @@ def test_no_fronts_where_condition_C_fails(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps(Jet(t, -t ** 2 / 2.0, -t).to_json()))
     calls = []
     original = jet._pareto_pairs
-    monkeypatch.setattr(jet, "_pareto_pairs", lambda C, S: calls.append(1) or original(C, S))
+    monkeypatch.setattr(jet, "_pareto_pairs", lambda *args: calls.append(1) or original(*args))
     assert main(["validate", str(path), "--modulus", "linear"]) == 1
     assert calls == []
 

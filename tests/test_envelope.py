@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from convext import lp
+from convext.c1 import build_construction, delta_many
 from convext.envelope import (
     Generator,
     build_envelope,
@@ -24,6 +25,7 @@ from convext.lp import CertificationError, convex_combination_min
 from convext.modulus import HolderModulus, LinearModulus, ScaledModulus, TableModulus
 
 from conftest import (
+    dense_restriction_jet,
     normalized_jet,
     random_concave_table,
     random_convex_function,
@@ -611,18 +613,22 @@ class TestSolveWork:
         assert len(rows) <= 1 and sum(rows) <= 60
 
     def test_the_restart_ranks_no_second_set(self, monkeypatch):
-        # the jet above, whose capped grid rows reach the smoothed restart: it goes
-        # straight to every ranked set, so each block ranks its first sets once
+        # 202 capped rows of the grid above, two of which reach the smoothed restart, at a
+        # budget of 512: the stages run once per block of 512 // 6 open rows, and the
+        # restart goes straight to every ranked set, so each stage block ranks once
+        from convext import jet as jet_module
         m = HolderModulus(0.5)
         jet = random_feasible_jet(np.random.default_rng(0), 2, 30)
         gen = Generator(jet, m, compute_A(jet, m))
-        blocks, ranked, rows = [], [], []
-        min_block, rank, smoothed = lp._min_block, lp._ranked, lp._smoothed
-        monkeypatch.setattr(lp, "_min_block", lambda *args: blocks.append(1) or min_block(*args))
-        monkeypatch.setattr(lp, "_ranked", lambda *args: ranked.append(1) or rank(*args))
+        ranked, rows = [], []
+        rank, smoothed = lp._ranked, lp._smoothed
+        monkeypatch.setattr(jet_module, "_BUDGET", 512)
+        monkeypatch.setattr(lp, "_ranked", lambda gen, X, *args: ranked.append(len(X)) or rank(gen, X, *args))
         monkeypatch.setattr(lp, "_smoothed", lambda gen, X, *args: rows.append(len(X)) or smoothed(gen, X, *args))
-        F = convex_combination_min(gen, 3.0 * _grid(65, 2), sup_norm_gradients(jet))[0]     # raises if a row stays open
-        assert sum(rows) > 0 and len(ranked) == len(blocks) and np.all(np.isfinite(F))
+        F = convex_combination_min(gen, 3.0 * _grid(65, 2)[::21], sup_norm_gradients(jet))[0]     # raises if open
+        stage = 512 // 6
+        assert sum(rows) > 0 and np.all(np.isfinite(F))
+        assert sum(ranked) > stage and max(ranked) <= stage and len(ranked) == -(-sum(ranked) // stage)
 
     def test_a_start_off_the_cap_also_tries_the_sphere(self, monkeypatch):
         # rr(200, 2, 5) of bench/inputs.py with points x 1e4 and G / 1e4, Hoelder 0.75:
@@ -779,6 +785,23 @@ def _smoothed_path(gen, X, L):
         rest = rest[~(width[rest] <= lp.TOL * (1.0 + np.abs(g[rest])))]
     assert rest.size == 0
     return F, g, ~done
+
+
+class TestRanking:
+    """``_ranking`` is the first two columns of a stable argsort of -g_k*(s)."""
+
+    def test_ties_and_nan_follow_the_stable_argsort(self, monkeypatch):
+        from types import SimpleNamespace
+        from convext import jet as jet_module
+        c = np.array([[1.0, 3.0, 3.0, 2.0], [np.nan, 1.0, 1.0, 0.5], [2.0, np.nan, np.nan, np.nan],
+                      [np.nan, np.nan, np.nan, np.nan], [np.inf, 0.0, np.inf, np.nan], [0.5, 0.5, 0.5, 0.5],
+                      [np.nan, 0.5, np.nan, 0.5], [0.0, np.nan, 1.0, 1.0]])
+        monkeypatch.setattr(jet_module, "_BUDGET", 8)      # blocks of two rows
+        for cols in (c, c[:, :1]):
+            gen = SimpleNamespace(jet=SimpleNamespace(size=cols.shape[1]),
+                                  _conjugates=lambda S, full, cols=cols: cols[S[:, 0].astype(int)].copy())
+            got = lp._ranking(gen, np.arange(len(cols), dtype=float)[:, None])
+            assert np.array_equal(got, np.argsort(-cols, axis=1, kind="stable")[:, :2])
 
 
 class TestRankedStart:
@@ -1005,7 +1028,14 @@ class TestRowBlocks:
         model1 = build_envelope(Generator(jet1, m, 1.5 * compute_A(jet1, m)), [-4.0], [4.0], 401)
         X1 = np.linspace(-4.0, 4.0, 300)[:, None]
         concave = Jet(jet2.points, -jet2.values, -jet2.gradients)    # fails (C) in every block
+        grid = dense_restriction_jet(rng, 150)      # front-heavy: many blocks share the buckets
+        P = rng.uniform(-1.0, 1.0, size=(40, 2))
+        quadratic = Jet(P, 0.5 * np.sum(P * P, axis=1), P)    # most pairs stay on the front
         return [
+            lambda: feasibility_report(grid, m).to_json(),
+            lambda: feasibility_report(quadratic, m).to_json(),
+            lambda: delta_many(grid, np.geomspace(1e-3, 3.0, 40)),
+            lambda: build_construction(grid).to_json(),
             lambda: feasibility_report(jet2, m).to_json(),
             lambda: feasibility_report(concave, m).to_json(),
             lambda: compute_A(jet2, m),
