@@ -24,8 +24,13 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 The screen runs on row blocks of ``jet._blocks`` with the n pieces as its
 per-row width.  Steps 2 and 3 run once per block of open rows, with the
 (d + 1) d coordinates of one set as the per-row width, so their fixed
-cost is paid once per call on most grids; inside them each pass over all
-n pieces (``_ranking``, the exchange's ``_entering``, the lower end of
+cost is paid once per call on most grids (the 3,818 cap-bound rows of a
+65^2 grid make one block in 2-D, where a block holds 10,922 rows).  These
+stage blocks exceed the element budget: the KKT systems of ``_certify``
+hold (2d + 2)^2 elements per row, 4 (d + 1) / d times the block's width,
+so such a temporary takes up to 6 times the budget, 3 MB, in 2-D, 5.3
+times, 2.8 MB, in 3-D and 8 times, 4 MB, in 1-D.  Inside the stages each pass over all n pieces
+(``_ranking``, the exchange's ``_entering``, the lower end of
 ``_bracket`` and all of step 3) runs on blocks of the n pieces' width.
 
 A wrong guess in step 2 or 3 costs time, not soundness: the bracket decides.

@@ -837,8 +837,9 @@ class TestRankedStart:
     def test_reversed_ranking_still_certifies(self, rng, monkeypatch):
         cases = list(self._cases(rng))
         expected = [convex_combination_min(gen, X, L)[0] for gen, X, L in cases]
-        ranking = lp._ranking
-        monkeypatch.setattr(lp, "_ranking", lambda gen, S: ranking(gen, S)[:, ::-1])
+        # worst first: the last two pieces of the stable descending order, lowest g_k*(s) on top
+        monkeypatch.setattr(lp, "_ranking", lambda gen, S: np.argsort(-gen._conjugates(S, full=False), axis=1,
+                                                                       kind="stable")[:, ::-1][:, :2])
         for (gen, X, L), F in zip(cases, expected):
             g = gen.value_many(X)
             assert np.all(np.abs(convex_combination_min(gen, X, L)[0] - F) <= lp.TOL * (1.0 + np.abs(g)))

@@ -6,6 +6,7 @@ from convext.jet import (
     InfeasibleJetError,
     Jet,
     _KEEP,
+    _buckets,
     _verdict,
     _pair_constants,
     _pair_ratios,
@@ -137,7 +138,7 @@ class TestSeminormA:
             assert A == pytest.approx(2.0 / (1.0 + 1.0 / alpha) ** alpha, abs=1e-12)
             assert len(per_pair) == 2
             # the two symmetric pairs tie exactly in (c, s): both stay on the front
-            i, j, c, s = _pareto_pairs(*pair_defects(jet)[:2])
+            i, j, c, s = _pareto_pairs(*pair_defects(jet)[:2], _buckets(jet))
             assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (1, 0)]
             assert c[0] == c[1] and s[0] == s[1]
 
@@ -317,23 +318,29 @@ class TestPairKernel:
             dominated = np.array([
                 np.any((s >= sk) & (c <= ck) & ((s > sk) | (c < ck))) for ck, sk in zip(c, s)
             ], dtype=bool)
-            fi, fj, fc, fs = _pareto_pairs(*pair_defects(jet)[:2])
+            fi, fj, fc, fs = _pareto_pairs(*pair_defects(jet)[:2], _buckets(jet))
             assert list(zip(fi.tolist(), fj.tolist())) == list(
                 zip(i[~dominated].tolist(), j[~dominated].tolist())
             )
             assert np.array_equal(fc, c[~dominated]) and np.array_equal(fs, s[~dominated])
 
-    def test_prefilter_keeps_the_reference_front(self):
-        """Same pairs, values and order as one lexsort over every pair."""
+    def test_prefilter_keeps_the_reference_front(self, monkeypatch):
+        """Same pairs, values and order as one lexsort over every pair, in
+        one call and in the verdict's row blocks of 64 // n rows (one row
+        where n > 32), which share their bucket minima."""
+        monkeypatch.setattr(jet_module, "_BUDGET", 64)
         for jet in _parity_jets():
             C, S, _ = pair_defects(jet)
-            front, reference = _pareto_pairs(C, S), _reference_front(C, S)
-            for got, want in zip(front, reference):
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+            reference = _reference_front(C, S)
+            verdict = _verdict(jet, 1e-9)
+            assert verdict.condition_C.ok
+            for front in (_pareto_pairs(C, S, _buckets(jet)), verdict.front):
+                for got, want in zip(front, reference):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_constant_gradients_give_an_empty_front(self):
         jet = Jet([[0.0], [1.0], [2.0]], [0.0, 3.0, 6.0], [[3.0], [3.0], [3.0]])
-        i, j, c, s = _pareto_pairs(*pair_defects(jet)[:2])
+        i, j, c, s = _pareto_pairs(*pair_defects(jet)[:2], _buckets(jet))
         assert len(i) == len(j) == len(c) == len(s) == 0
         assert seminorm_A_intrinsic(jet, LinearModulus()) == (0.0, [])
         assert seminorm_A_extrinsic(jet, LinearModulus()) == 0.0
@@ -360,7 +367,7 @@ class TestPairKernel:
             A, per_pair = seminorm_A_intrinsic(jet, m)
             (y, z), top = max(per_pair, key=lambda p: p[1])
             assert top == A
-            fi, fj, _, _ = _pareto_pairs(*pair_defects(jet)[:2])
+            fi, fj, _, _ = _pareto_pairs(*pair_defects(jet)[:2], _buckets(jet))
             front = list(zip(fi.tolist(), fj.tolist()))
             assert (y, z) in front
             assert [p for p, _ in per_pair] == sorted(p for p, _ in per_pair)
