@@ -20,8 +20,10 @@ promises to control:
 
 Measured suprema are taken over random samples, so they are lower bounds
 of the true seminorms; each is compared against its asserted upper bound
-with a 5 % multiplicative slack plus an additive discretization term
-10 * M * omega(h_grid) * h_grid.
+with a 5 % multiplicative slack plus an additive term: in d = 1 the sampled
+hull's discretization error 10 * M * omega(h_grid) * h_grid, in d >= 2 only
+rounding (1e-12), because each value of F there is certified within
+TOL (1 + |g|) and the grid only places the CSV rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .envelope import Generator, build_envelope
-from .jet import Jet, _A, _defects, _verdict, sup_norm_gradients
+from .jet import InfeasibleJetError, Jet, _A, _A_extrinsic, _defects, _verdict, sup_norm_gradients
 from .modulus import Modulus
 
 __all__ = [
@@ -168,6 +170,9 @@ def _build(jet: Jet, cfg: ExtensionConfig, verdict) -> ExtensionModel:
     if verdict.error:
         raise verdict.error
     A = _A(verdict, cfg.modulus)
+    if not np.isfinite(A):      # a bounded modulus that no constant lifts over a pair's gradient gap
+        i, j = _A_extrinsic(verdict, cfg.modulus)[1]
+        raise InfeasibleJetError("finite_A", [(i, j, np.inf)])
 
     if cfg.M == "auto":
         M = A
@@ -265,11 +270,14 @@ def verify_extension(
     ``min_separation`` (5 % of the narrowest box side, and in d = 1 at
     least 10 times ``default_step``; reported in the context): below that
     scale the sampled hull of d = 1, not the extension, dominates the
-    ratio.  With a cap, ``empirical_lip_F`` is the largest Lipschitz
-    quotient of F_L over all pairs of m random points over the whole box,
-    m the smallest integer >= 40 with m (m - 1) / 2 >= ``samples``.  F and
-    grad F come from one solve on the jet points and both sets, and F_L
-    reuses it (``EnvelopeModel._value_and_lipschitz``).
+    ratio.  The additive slack is the sampled hull's error 10 M omega(h) h
+    in d = 1 (h the grid spacing), and 1e-12 in d >= 2, where F is the
+    certified conjugate solve, within TOL (1 + |g|) at every point, and the
+    grid only places the CSV rows.  With a cap, ``empirical_lip_F`` is the
+    largest Lipschitz quotient of F_L over all pairs of m random points over
+    the whole box, m the smallest integer >= 40 with m (m - 1) / 2 >=
+    ``samples``.  F and grad F come from one solve on the jet points and
+    both sets, and F_L reuses it (``EnvelopeModel._value_and_lipschitz``).
     """
     rng = np.random.default_rng(seed)
     m = model.modulus
@@ -279,7 +287,7 @@ def verify_extension(
     lo, hi = model.domain
     width = float(np.min(hi - lo))
     min_separation = max(0.05 * width, 10.0 * h if model.dimension == 1 else 0.0)
-    slack_add = 10.0 * M * m.omega(sp) * sp + 1e-12
+    slack_add = (10.0 * M * m.omega(sp) * sp if model.dimension == 1 else 0.0) + 1e-12
     mult = 1.05
 
     # gradient-bearing sample points, 1.5 default steps inside the box (a

@@ -138,8 +138,9 @@ def _json_float(v):
 class InfeasibleJetError(Exception):
     """A jet fails a condition required by the requested operation.
 
-    ``condition`` names the failing check, "condition_C" or
-    "condition_CW1", ``pairs`` lists the offending (i, j, residual) triples
+    ``condition`` names the failing check, "condition_C", "condition_CW1"
+    or, from ``build_extension`` where a bounded modulus admits no finite
+    constant, "finite_A"; ``pairs`` lists the offending (i, j, residual) triples
     that the check reports, and ``count`` the offending pairs in all.  The
     message names the pairs of ``first`` (default: ``pairs``), which should
     be the first offending pairs in row-major order, and the count of the

@@ -9,29 +9,29 @@ So F(x) = max_s <s, x> - max_k g_k*(s), F_L is the same maximum over
 
 1. the screen ``Generator._exposed``, which also gives the active piece i
    of g at x and its gradient s0;
-2. ``_ranked`` from the start s0: projected onto the cap when |s0| > L, with
-   k the top piece by g_k*(s0).  Where the cap binds, Riemannian Newton for
-   max <s, x> - g_k*(s) on the sphere |s| = L, whose step is closed form
-   (``_on_cap``); else Newton on the KKT system of {k, i}, with i the second
-   piece when it is k.  Then a drop/add exchange on the sets still open, of
-   at most d + 1 pieces and spheres, where a full set adds by the ratio
-   test's swap (``_ratio_test``);
+2. ``_ranked`` from the start s0, projected onto the cap when |s0| > L,
+   with k the top piece by g_k*(s0): the set {k, cap} where the cap binds,
+   else {k, i}, with i the second piece when it is k.  Then a drop/add
+   exchange on the sets still open, of at most d + 1 pieces and spheres,
+   where a full set adds by the ratio test's swap (``_ratio_test``);
 3. once, a smoothed Newton path (tau log sum_k exp(g_k*(s) / tau),
-   penalized outside the cap and the balls) gives a new start; then KKT
-   Newton on every set of the pieces and spheres ranked there that holds a
-   piece, and ``_on_cap`` with the top piece where that start is off the cap.
+   penalized outside the cap and the balls) gives a new start; then every
+   set of the pieces and spheres ranked there that holds a piece.
+
+``_certify`` runs KKT Newton on a set, from its weights or, without them,
+from equal weights on its pieces; a set of one piece k and the cap without
+weights (step 2's first set, any set of step 3) takes Riemannian Newton on
+the sphere |s| = L instead, whose step is closed form (``_on_cap``).
 
 The screen runs on row blocks of ``jet._blocks`` with the n pieces as its
 per-row width.  Steps 2 and 3 run once per block of open rows, with the
-(d + 1) d coordinates of one set as the per-row width, so their fixed
-cost is paid once per call on most grids (the 3,818 cap-bound rows of a
-65^2 grid make one block in 2-D, where a block holds 10,922 rows).  These
-stage blocks exceed the element budget: the KKT systems of ``_certify``
-hold (2d + 2)^2 elements per row, 4 (d + 1) / d times the block's width,
-so such a temporary takes up to 6 times the budget, 3 MB, in 2-D, 5.3
-times, 2.8 MB, in 3-D and 8 times, 4 MB, in 1-D.  Inside the stages each pass over all n pieces
-(``_ranking``, the exchange's ``_entering``, the lower end of
-``_bracket`` and all of step 3) runs on blocks of the n pieces' width.
+(d + 1) d coordinates of one set as the width: a 2-D block holds 10,922
+rows, so the 3,818 cap-bound rows of a 65^2 grid pay the stages' fixed
+cost once.  The KKT systems hold (2d + 2)^2 elements per row, so they
+exceed the element budget 6 times (3 MB) in 2-D, 5.3 times (2.8 MB) in 3-D
+and 8 times (4 MB) in 1-D.  Inside the stages each pass over all n pieces
+(``_ranking``, the exchange's ``_entering``, the lower end of ``_bracket``
+and all of step 3) runs on blocks of the n pieces' width.
 
 A wrong guess in step 2 or 3 costs time, not soundness: the bracket decides.
 Both Newton methods take three steps on every row, then stop a row once its
@@ -109,22 +109,14 @@ def _ranked(gen, X, g, S, L, active):
     (Q, d), n = X.shape, gen.jet.size
     K, rows = d + 1, np.arange(Q)
     tol = TOL * (1.0 + np.abs(g))
-    spheres, bind = _spheres(gen, L), np.zeros(Q, dtype=bool)
+    spheres, bind, T = _spheres(gen, L), np.zeros(Q, dtype=bool), S
     if L is not None:
-        bind = np.sqrt(np.sum(S * S, axis=1)) > L
-        S = _onto_cap(S, L)
-    order = _ranking(gen, S)
+        bind, T = np.sqrt(np.sum(S * S, axis=1)) > L, _onto_cap(S, L)
+    order = _ranking(gen, T)
     top, second = order[:, 0], order[:, 1] if n > 1 else np.full(Q, -1)
     other = np.where(active != top, active, second)
     elem = np.column_stack([top, np.where(bind, n, other), np.full((Q, d - 1), -1)])     # element n is the cap
-    F, Sout, width, mult = np.empty(Q), np.empty_like(S), np.empty(Q), np.zeros((Q, K))
-    on, off = np.flatnonzero(bind), np.flatnonzero(~bind)
-    if on.size:     # weight 1 on the piece, and nu = <x - z_k(s), s> / L on the cap
-        F[on], Sout[on], width[on] = _on_cap(gen, X[on], S[on], L, spheres, top[on])
-        Z = gen._conjugates(Sout[on], top[on, None])[1][:, 0]
-        mult[on, 0], mult[on, 1] = 1.0, np.sum((X[on] - Z) * Sout[on], axis=1) / L
-    if off.size:
-        F[off], Sout[off], width[off], mult[off] = _certify(gen, X[off], S[off], L, spheres, elem[off])
+    F, Sout, width, mult = _certify(gen, X, S, L, spheres, elem)     # a {k, cap} row scales S to T
     for _ in range(2 * K):
         # exchange on the failed sets: drop the most negative weight; without one, add a
         # sphere the solution reached, else the largest piece left out (a full set swaps)
@@ -148,7 +140,7 @@ def _ranked(gen, X, g, S, L, active):
         if not (drop.any() or add.size):
             break
         redo = np.flatnonzero(drop | np.isin(rows, add))    # restart from the last solution
-        start = np.where(np.isfinite(Sout[redo]), Sout[redo], S[redo])
+        start = np.where(np.isfinite(Sout[redo]), Sout[redo], T[redo])
         F[redo], Sout[redo], width[redo], mult[redo] = _certify(
             gen, X[redo], start, L, spheres, elem[redo], np.nan_to_num(mult[redo]))
     return F, Sout, width
@@ -254,7 +246,7 @@ def _ranking(gen, S):
 
 def _solve(gen, X, g, S, L):
     """Smoothed start, then every set of the elements ranked there that holds
-    a piece, and ``_on_cap`` off the cap (step 3 of the module docstring)."""
+    a piece (step 3 of the module docstring)."""
     (Q, d), n = X.shape, gen.jet.size
     K, spheres = d + 1, _spheres(gen, L)
     S, gap = _smoothed(gen, X, S, 1.0 + np.abs(g), spheres)
@@ -267,11 +259,6 @@ def _solve(gen, X, g, S, L):
     owner, pick = np.repeat(np.arange(Q), len(sets)), np.tile(sets, (Q, 1))
     elem = np.where(pick >= 0, np.take_along_axis(ranked[owner], np.maximum(pick, 0), axis=1), -1)
     Fb, Sb, wb, _ = _blocks(lambda o, e: _certify(gen, X[o], S[o], L, spheres, e), n, owner, elem)
-    on = np.flatnonzero(np.sqrt(np.sum(S * S, axis=1)) > L) if L is not None else []
-    if len(on):     # a start outside the cap also tries its top piece on the sphere
-        T = _onto_cap(S[on], L)
-        Fc, Sc, wc = _on_cap(gen, X[on], T, L, spheres, _ranking(gen, T)[:, 0])
-        owner, Fb, Sb, wb = (np.concatenate(p) for p in ((owner, on), (Fb, Fc), (Sb, Sc), (wb, wc)))
     last = np.lexsort((-wb, owner))     # by row, each row's narrowest bracket last
     win = last[np.append(owner[last][1:] > owner[last][:-1], True)]
     return Fb[win], Sb[win], wb[win]
@@ -355,9 +342,22 @@ def _gram(w, U):
 def _certify(gen, X, S, L, spheres, elem, mult=None):
     """KKT Newton on each row's active set elem (pieces 0..n-1, then the
     spheres; -1 empty) from s = S and the weights mult (default: equal on
-    the pieces), then its bracket: (F, s, width, weights)."""
+    the pieces), then its bracket: (F, s, width, weights).  Without weights,
+    a set of one piece k and the cap runs ``_on_cap`` instead, from s scaled
+    onto |s| = L, and gets weight 1 on k and nu = <x - z_k(s), s> / L on the cap."""
     n, d = gen.jet.size, X.shape[1]
     is_p, is_s = (elem >= 0) & (elem < n), elem >= n
+    if mult is None and L is not None and np.any(on := (np.max(elem, axis=1) == n) & (np.sum(is_p, axis=1) == 1)):
+        F, Sout, width, mult = np.empty(len(X)), np.empty_like(S), np.empty(len(X)), np.zeros(elem.shape)
+        on, off = np.flatnonzero(on), np.flatnonzero(~on)
+        if off.size:    # the other rows take KKT Newton
+            F[off], Sout[off], width[off], mult[off] = _certify(gen, X[off], S[off], L, spheres, elem[off])
+        k, norm = elem[on][is_p[on]], np.sqrt(np.sum(S[on] * S[on], axis=1))    # s = 0 stays where it is
+        F[on], Sout[on], width[on] = _on_cap(gen, X[on], S[on] * (L / np.where(norm > 0, norm, L))[:, None], L,
+                                             spheres, k)
+        nu = np.sum((X[on] - gen._conjugates(Sout[on], k[:, None])[1][:, 0]) * Sout[on], axis=1) / L
+        mult[on] = np.where(is_p[on], 1.0, nu[:, None] * is_s[on])
+        return F, Sout, width, mult
     pidx, sidx = np.where(is_p, elem, 0), np.where(is_s, elem - n, -1)
     C0, rho = spheres[0][sidx], np.where(is_s, spheres[1][sidx], 0.0)
     t = np.max(np.where(is_p, gen._conjugates(S, pidx, full=False), -np.inf), axis=1)

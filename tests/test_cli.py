@@ -242,6 +242,30 @@ class TestExtend:
         for name in ("empirical_A_vs_bound", "empirical_lip_grad_vs_bound", "necessity_A_le_lip_grad"):
             assert np.isfinite(measured[name]) and measured[name] > 0.0
 
+    def test_3d_seminorm_checks_fail_below_the_attained_bound(self, tmp_path, capsys):
+        # the jet of |x|^2 / 2 at 0, e1, e2 and e3 under the linear modulus: K M = 1 is
+        # attained, so K = 0.9 fails both seminorm checks, and K = 1 passes them
+        P = np.vstack([np.zeros(3), np.eye(3)])
+        path = tmp_path / "q3.json"
+        path.write_text(json.dumps(Jet(P, np.sum(P * P, axis=1) / 2.0, P).to_json()))
+        for K, code in (("0.9", 1), ("1", 0)):
+            assert main(["extend", str(path), "--modulus", "linear", "--K", K]) == code
+            verification = json.loads(capsys.readouterr().out)["verification"]
+            passed = {c["name"]: c["passed"] for c in verification["bound_checks"]}
+            assert passed["empirical_A_vs_bound"] == passed["empirical_lip_grad_vs_bound"] == (code == 0)
+            assert verification["context"]["slack_additive"] == 1e-12
+
+    def test_zero_modulus_is_infeasible(self, tmp_path, capsys):
+        # no constant M lifts a modulus that is zero everywhere over a gradient gap
+        table, path = tmp_path / "zero.json", tmp_path / "jet.json"
+        table.write_text(json.dumps({"type": "table", "knots": [[0, 0], [1, 0]]}))
+        path.write_text(json.dumps({"dimension": 1, "points": [[0.0], [1.0], [2.0]], "values": [0.0, 0.5, 2.0],
+                                    "gradients": [[0.0], [1.0], [2.0]]}))
+        for command in ("validate", "constants", "extend"):
+            assert main([command, str(path), "--modulus", f"table:{table}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible")
+
     def test_deterministic_outputs(self, halfsq_file, tmp_path):
         outs = []
         for tag in ("a", "b"):

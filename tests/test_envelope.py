@@ -669,29 +669,29 @@ class TestSolveWork:
 
     def test_cap_bound_rows_build_no_kkt_system(self, monkeypatch):
         gen, X, L = self._case()
-        n, calls, sets = gen.jet.size, [], []       # calls: [rows, steps, linear solves] per sphere stage
-        in_stage, in_ranked = [], []
-        ranked, on_cap, certify, moving, solve = lp._ranked, lp._on_cap, lp._certify, lp._moving, np.linalg.solve
+        n, d, stage = gen.jet.size, gen.jet.dimension, []      # the modulus is unbounded: the cap is the only sphere
+        calls, kkt = [], []     # calls: [rows, steps, linear solves] per sphere stage; kkt: (stage, set sizes)
+        in_stage, on_rows = [], []
+        ranked, solve_stage, on_cap, moving, solve = lp._ranked, lp._solve, lp._on_cap, lp._moving, np.linalg.solve
+        assert np.isinf(gen.radius)
 
-        def spy_ranked(*args):
-            in_ranked.append(True)
-            try:
-                return ranked(*args)
-            finally:
-                in_ranked.pop()
+        def within(name, fn):
+            def spy(*args):
+                stage.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    stage.pop()
+            return spy
 
-        def spy_on_cap(gen, X, *args):
+        def spy_on_cap(gen, X, S, L, spheres, k):
             calls.append([len(X), 0, 0])
+            on_rows.extend((stage[-1], tuple(x), j) for x, j in zip(X, k))
             in_stage.append(True)
             try:
-                return on_cap(gen, X, *args)
+                return on_cap(gen, X, S, L, spheres, k)
             finally:
                 in_stage.pop()
-
-        def spy_certify(gen, X, S, L, spheres, elem, *args):
-            if in_ranked:
-                sets.append(elem)
-            return certify(gen, X, S, L, spheres, elem, *args)
 
         def spy_moving(*args):
             if in_stage:
@@ -701,19 +701,42 @@ class TestSolveWork:
         def spy_solve(a, b):
             if in_stage:
                 calls[-1][2] += 1
+            elif stage and a.shape[1:] == (2 * d + 2, 2 * d + 2):
+                # a step of KKT Newton: row d holds a 1 under each piece of the set, and an
+                # empty slot has 1 (plus the regularization) on the diagonal
+                pieces = a[:, d, d + 1:] == 1.0
+                empty = np.diagonal(a[:, d + 1:, d + 1:], axis1=1, axis2=2) >= 1.0
+                kkt.append((stage[-1], np.sum(pieces, axis=1), np.sum(~pieces & ~empty, axis=1)))
             return solve(a, b)
 
-        for name, spy in (("_ranked", spy_ranked), ("_on_cap", spy_on_cap), ("_certify", spy_certify),
-                          ("_moving", spy_moving)):
+        for name, spy in (("_ranked", within("ranked", ranked)), ("_solve", within("solve", solve_stage)),
+                          ("_on_cap", spy_on_cap), ("_moving", spy_moving)):
             monkeypatch.setattr(lp, name, spy)
         monkeypatch.setattr(np.linalg, "solve", spy_solve)
         convex_combination_min(gen, X, L)
-        assert sum(c[0] for c in calls) > 50 and sets
+        assert sum(c[0] for c in calls) > 50 and kkt
         assert max(c[1] for c in calls) <= 12 and sum(c[2] for c in calls) == 0
         # stage 2 sends KKT Newton no set of the cap and one piece
-        for elem in sets:
-            pieces = np.sum((elem >= 0) & (elem < n), axis=1)
-            assert not np.any(np.any(elem == n, axis=1) & (pieces < 2))
+        for _, pieces, spheres in kkt:
+            assert not np.any((spheres > 0) & (pieces < 2))
+        # worst-first sets, as in TestRankedStart, send rows to the restart: there KKT Newton
+        # sees no set of the cap and one piece, and each row tries the cap with each ranked
+        # piece on the sphere (all n = d + 2 pieces are ranked)
+        kkt.clear()
+        on_rows.clear()
+        restart, smoothed = [], lp._smoothed
+        monkeypatch.setattr(lp, "_ranking", lambda gen, S: np.argsort(-gen._conjugates(S, full=False), axis=1,
+                                                                       kind="stable")[:, ::-1][:, :2])
+        monkeypatch.setattr(lp, "_smoothed", lambda gen, X, *args: restart.extend(map(tuple, X)) or smoothed(gen, X, *args))
+        convex_combination_min(gen, X, L)
+        assert restart and any(name == "solve" for name, _, _ in kkt) and n == d + 2
+        for name, pieces, spheres in kkt:
+            assert name == "ranked" or not np.any((spheres > 0) & (pieces < 2))
+        tried = {}
+        for name, x, k in on_rows:
+            if name == "solve":
+                tried.setdefault(x, []).append(k)
+        assert sorted(tried) == sorted(restart) and all(sorted(k) == list(range(n)) for k in tried.values())
 
     def test_ball_mask_is_the_squared_distance_rule(self, rng):
         m = random_concave_table(rng, coercive=False)
@@ -865,6 +888,34 @@ class TestRankedStart:
             assert np.array_equal(both, ref_width <= tol)
             assert np.all(np.abs(F - ref)[both] <= tol[both])
             rows += np.count_nonzero(both)
+        assert rows > 3000
+
+    def test_weightless_sets_of_a_piece_and_the_cap_run_on_the_sphere(self, rng):
+        # without weights, _certify gives {k, cap} the sphere Newton from s scaled onto |s| = L,
+        # with weight 1 on k and nu = <x - z_k(s), s> / L on the cap; KKT Newton, which the
+        # same set takes with weights, certifies from there no row that the sphere leaves open
+        rows = 0
+        for gen, X, L in self._cases(rng):
+            if L is None:
+                continue
+            (Q, d), n = X.shape, gen.jet.size
+            _, g, s, _ = gen._exposed(X, -lp.TOL)
+            bind = np.flatnonzero(np.sqrt(np.sum(s * s, axis=1)) > L)
+            S, T, Xc = s[bind], lp._onto_cap(s[bind], L), X[bind] - gen._origin
+            top, spheres, tol = lp._ranking(gen, T)[:, 0], lp._spheres(gen, L), lp.TOL * (1.0 + np.abs(g[bind]))
+            elem = np.column_stack([top, np.full(bind.size, n), np.full((bind.size, d - 1), -1)])
+            F, Sc, width = lp._on_cap(gen, Xc, T, L, spheres, top)
+            nu = np.sum((Xc - gen._conjugates(Sc, top[:, None])[1][:, 0]) * Sc, axis=1) / L
+            got = lp._certify(gen, Xc, S, L, spheres, elem)
+            assert all(np.array_equal(a, b) for a, b in zip(got, (F, Sc, width, np.column_stack(
+                [np.ones(bind.size), nu, np.zeros((bind.size, d - 1))]))))
+            ref, _, ref_width, _ = lp._certify(gen, Xc, T, L, spheres, elem, (elem == top[:, None]) * 1.0)
+            both = (width <= tol) & (ref_width <= tol)
+            assert np.array_equal(both, ref_width <= tol) and np.all(np.abs(F - ref)[both] <= tol[both])
+            rows += np.count_nonzero(both)
+            # a start at s = 0 stays there, without a warning
+            zero = lp._certify(gen, Xc[:1], np.zeros((1, d)), L, spheres, elem[:1])
+            assert np.all(zero[1] == 0.0) and zero[3][0, 1] == 0.0
         assert rows > 3000
 
     def test_rows_off_the_sphere_set_leave_the_stage_open(self, monkeypatch):

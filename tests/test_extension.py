@@ -23,7 +23,7 @@ from convext.lp import convex_combination_min
 from convext.modulus import HolderModulus, LinearModulus, ScaledModulus
 
 import oracles
-from conftest import normalized_jet, random_concave_table
+from conftest import normalized_jet, random_concave_table, random_feasible_jet
 from oracles import check_necessity
 
 HALFSQ = Jet([[0.0], [1.0]], [0.0, 0.5], [[0.0], [1.0]])
@@ -184,6 +184,20 @@ class TestVerify:
         check = {c.name: c for c in rep.bound_checks}["lipschitz_cap_upper"]
         assert not check.passed and not rep.ok
         assert check.measured >= 1.05 * model.L
+
+    @pytest.mark.parametrize("d, resolution", [(2, 65), (3, 33)])
+    def test_half_the_least_constant_misses_the_data(self, d, resolution):
+        # rr(3, d, 60) of bench/inputs.py under holder:0.5, built with M = A / 2: F misses
+        # the data by 2.09 in 2-D and 0.85 in 3-D, which in d >= 2 no grid term may cover
+        m = HolderModulus(0.5)
+        jet = random_feasible_jet(np.random.default_rng(3), d, 60)
+        A = compute_A(jet, m)
+        lo, hi = default_domain(jet)
+        model = extension.ExtensionModel(jet, build_envelope(Generator(jet, m, A / 2), lo, hi, resolution, None),
+                                         m, A / 2, A, None, extension.default_smoothness_constant(m))
+        report = verify_extension(model)
+        interp = next(c for c in report.bound_checks if c.name == "interpolation_error")
+        assert not interp.passed and interp.measured > 0.8 and interp.bound < 1e-8
 
     def test_holder_alpha_one_factors_are_one(self):
         jet = two_point_power_jet(1.0)
