@@ -17,7 +17,9 @@ from the kernels ``jet._planes`` and ``jet._pairwise_dist``, so g(y_k) =
 m(y_k) = f_k exactly, and they run on row blocks of ``jet._blocks`` with
 the n pieces as the per-row width, so no (queries, pieces) temporary
 outgrows ``jet._BUDGET`` = 2^16 elements, 512 KB of float64, which keeps
-a kernel's few temporaries inside a 2 MB L2 cache.
+a kernel's few temporaries inside a 2 MB L2 cache.  ``write_samples_csv``
+formats its rows in blocks under the same rule, with 25 bytes per value as
+the per-row width, and prints each value exactly as Python's '%.17g' does.
 
 * d = 1: sample g over a box on a uniform grid plus all jet points and take
   the lower convex hull of the planar graph (one monotone-chain pass).
@@ -42,7 +44,7 @@ import warnings
 
 import numpy as np
 
-from .jet import Jet, _blocks, _pairwise_dist, _planes, sup_norm_gradients
+from .jet import _BUDGET, Jet, _blocks, _pairwise_dist, _planes, sup_norm_gradients
 from .lp import TOL, convex_combination_min
 from .modulus import LinearModulus, Modulus
 
@@ -388,7 +390,9 @@ def build_envelope(generator: Generator, lo, hi, resolution: int, lipschitz_cap=
 
 def write_samples_csv(model: EnvelopeModel, path):
     """Write grid samples as CSV: x1..xd, g, m, F, and F_L when the model
-    was built with a cap (F itself where |s| <= L)."""
+    was built with a cap (F itself where |s| <= L).  Each value prints as
+    Python's '%.17g' % v; the m columns are formatted in blocks of
+    ``_BUDGET // (_CSV_WIDTH m)`` rows."""
     jet, d, X = model.generator.jet, model.dimension, model.grid_points
     g = model.sample_g if d == 1 else model.generator.value_many(X)
     m_vals = minorant(jet, X)
@@ -399,8 +403,107 @@ def write_samples_csv(model: EnvelopeModel, path):
         env = list(model._value_and_lipschitz(X))
         header.append("F_L")
     cols = [X[:, k] for k in range(d)] + [g, m_vals] + env
-    fmt = ",".join(["%.17g"] * len(cols)) + "\n"
+    size = max(1, _BUDGET // (_CSV_WIDTH * len(cols)))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*(c.tolist() for c in cols)):
-            fh.write(fmt % row)
+        for k in range(0, len(X), size):
+            fh.write(_csv_rows(np.column_stack([c[k:k + size] for c in cols])).decode())
+
+
+# The samples CSV prints each value as Python's '%.17g' % v, which round-trips
+# every float64.  _csv_rows forms those bytes for a block of rows at once.  In
+# the window 1e-4 <= |v| < 1e15, '%.17g' is fixed notation with the 17
+# significant digits N of v rounded half to even, N = round(|v| 10^(16 - k))
+# for k = floor(log10 |v|); every other value (zeros, tiny, huge, NaN and
+# infinities) is formatted by Python itself.
+_CSV_WIDTH = 25      # bytes per value: sign, "0.000" and 17 digits or a 24-byte '%.17g', separator
+_CSV_COLUMN = np.arange(_CSV_WIDTH, dtype=np.int8)[:, None]
+
+
+def _halves(a):
+    """a = hi + lo exactly, each of 26 significant bits (Dekker's split)."""
+    c = 134217729.0 * a         # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** p) for p in range(22)])       # 10^p is an exact double for p <= 22
+_POW10_HALVES = np.array([_POW10, *_halves(_POW10)])   # rows: 10^p, its high and low half
+
+
+def _significand(a, k):
+    """round(a 10^(16 - k)) half to even, exactly, for a > 0 and k in [-5, 15].
+
+    Dekker's (1971) product: hi = fl(a t) and lo = a t - hi, exactly.  Where
+    a t >= 2^53, hi is an even integer, so hi + rint(lo) rounds a t half to
+    even.  Below 2^53 the result is below 10^16, which the caller rejects.
+    """
+    t, t1, t2 = _POW10_HALVES.take(16 - k, axis=1)
+    hi = a * t
+    a1, a2 = _halves(a)
+    lo = ((a1 * t1 - hi) + a1 * t2 + a2 * t1) + a2 * t2
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _csv_rows(rows) -> bytes:
+    """The bytes of ``",".join(["%.17g"] * m) % row + "\\n"`` for each row of
+    the (rows, m) float64 array, exactly.
+
+    Each value gets one column of a (_CSV_WIDTH, values) byte matrix, and one
+    boolean compress of its run [lo, hi] emits the block.
+    """
+    v = rows.ravel()
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e15)
+    a[~fast] = 1.0                              # log10 only inside the window
+    k = np.floor(np.log10(a)).astype(np.int8)
+    N = _significand(a, k)
+    # Next to a power of ten log10 may miss k by one.  N then leaves [10^16,
+    # 10^17), and Python prints the value: rounding never lifts a product
+    # under 10^16 to it, since the double below each power of ten in the
+    # window scales to at least 0.83 under 10^16.
+    fast &= (N >= 10 ** 16) & (N < 10 ** 17)
+
+    # Row 1 + j of D holds s_j, for s = "0000" and the 17 digits of N; rows 0
+    # and 22 pad.  '%.17g' prints s_j for j from min(4, 4 + k) to 4 + k, then
+    # "." and s_j from 5 + k to the last nonzero digit, if there is one.  The
+    # digits come from three groups of six, the first led by the fourth zero.
+    D = np.zeros((23, n), np.uint8)
+    groups = np.empty((3, n), np.int64)
+    groups[0], rest = np.divmod(N, 10 ** 12)
+    groups[1], groups[2] = np.divmod(rest, 10 ** 6)
+    groups = groups.astype(np.int32)
+    digits = D[4:22].reshape(3, 6, n)
+    for j in range(5, -1, -1):
+        tens = groups // 10
+        digits[:, j] = groups - 10 * tens
+        groups = tens
+    last = np.max((D[5:22] != 0) * _CSV_COLUMN[4:21], axis=0)   # j of the last nonzero s_j
+    D += ord("0")
+
+    # column i of out is value i: its "-" in row start, its text from row
+    # start + 1 (s_j in row 1 + j up to the ".", in row 2 + j after it), and
+    # its separator in row end
+    out = np.empty((_CSV_WIDTH, n), np.uint8)
+    body, values = out[1:23], np.arange(n)
+    body[...] = D[0:22]
+    np.copyto(body, D[1:23], where=_CSV_COLUMN[:22] <= 4 + k)
+    out[6 + k, values] = ord(".")
+    start = np.minimum(4, 4 + k)
+    end = np.where(last > 4 + k, last + 3, 6 + k)      # the separator's row, over "." without a fraction
+    out[start, values] = ord("-")
+    sep = np.full(rows.shape, ord(","), np.uint8)
+    sep[:, -1] = ord("\n")
+    sep = sep.ravel()
+    out[end, values] = sep
+    lo, hi = start + 1 - np.signbit(v), end
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % x for x in v[slow].tolist()]
+        width = max(map(len, text))
+        out[:width, slow] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width).T
+        lo[slow], hi[slow] = 0, [len(t) for t in text]
+        out[hi[slow], slow] = sep[slow]
+    keep = (_CSV_COLUMN >= lo) & (_CSV_COLUMN <= hi)
+    return out.T[keep.T].tobytes()

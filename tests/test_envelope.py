@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convext import lp
 from convext.c1 import build_construction, delta_many
 from convext.envelope import (
     Generator,
+    _csv_rows,
     build_envelope,
     minorant,
     write_samples_csv,
@@ -882,7 +885,7 @@ class TestRankedStart:
             F, _, width = lp._on_cap(gen, Xc, S, L, spheres, top)
             assert len(steps) <= 12
             elem = np.column_stack([top, np.full(bind.size, n), np.full((bind.size, d - 1), -1)])
-            ref, _, ref_width, _ = lp._certify(gen, Xc, S, L, spheres, elem)
+            ref, _, ref_width, _ = lp._certify(gen, Xc, S, L, spheres, elem, (elem == top[:, None]) * 1.0)
             both = (width <= tol) & (ref_width <= tol)
             # from the same start it certifies every row KKT Newton on {top, cap} does, to the same value
             assert np.array_equal(both, ref_width <= tol)
@@ -1050,6 +1053,68 @@ class TestCsvExport:
         assert np.array_equal(F_L[near], F[near])
         reference = original(model.generator, X, L)[0]
         assert np.all(np.abs(F_L - reference) <= lp.TOL * (1.0 + np.abs(g)))
+
+    @staticmethod
+    def _python_rows(rows):
+        """The reference: one '%.17g' row format per row, as Python prints it."""
+        fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        return "".join(fmt % tuple(row) for row in rows.tolist())
+
+    def test_rows_print_as_python_formats_them(self):
+        rng = np.random.default_rng(30)
+        powers = np.array([10.0 ** e for e in range(-7, 17)] + [float(f"1e{e}") for e in range(-7, 17)])
+        # the double below each power of ten comes closest to carrying its 17 digits into the power
+        values = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+                  [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, np.nextafter(1e15, 0.0)]]
+        # exact ties m 2^(-1-p), m odd: their product with 10^p lies halfway between two integers
+        for p in range(2, 21):
+            ties = (2 * rng.integers(0, 2 ** 52, 400) + 1) * 2.0 ** (-1 - p)
+            values.append(ties[(ties >= 1e-4) & (ties < 1e15)])
+        values.append(10.0 ** rng.uniform(-5.0, 16.0, 20000))
+        values.append(rng.integers(-2 ** 63, 2 ** 63 - 1, 20000, endpoint=True, dtype=np.int64).view(np.float64))
+        v = np.concatenate([np.asarray(x, dtype=float) for x in values])
+        v = np.concatenate([v, -v])
+        rows = v[: v.size // 6 * 6].reshape(-1, 6)
+        assert _csv_rows(rows) == self._python_rows(rows).encode()
+        assert _csv_rows(rows[:, :1]) == self._python_rows(rows[:, :1]).encode()
+
+    @given(st.lists(st.floats(), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_float_prints_as_python_formats_it(self, values):
+        for rows in (np.array(values)[None, :], np.array(values)[:, None]):
+            assert _csv_rows(rows) == self._python_rows(rows).encode()
+
+    def test_csv_bytes_equal_the_per_row_format(self, tmp_path):
+        # several row blocks in 1-D; a 2-D grid through 0 with negative coordinates and a zero minorant
+        jet1 = random_feasible_jet(np.random.default_rng(7), 1, 8)
+        gen1 = Generator(jet1, LinearModulus(), compute_A(jet1, LinearModulus()))
+        tri = Jet([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.0, 0.5, 0.5], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        models = [build_envelope(gen1, *_box(jet1), 2001, lipschitz_cap=sup_norm_gradients(jet1)),
+                  build_envelope(Generator(tri, LinearModulus(), 1.0), [-1.5, -1.5], [1.5, 1.5], 33,
+                                 lipschitz_cap=1.0)]
+        for model in models:
+            X, d = model.grid_points, model.dimension
+            F, F_L = model._value_and_lipschitz(X)
+            rows = np.column_stack([X, model.generator.value_many(X), minorant(model.generator.jet, X), F, F_L])
+            assert d == 1 or (np.any(rows == 0.0) and np.any(rows < 0.0))
+            header = ",".join([f"x{k + 1}" for k in range(d)] + ["g", "m", "F", "F_L"]) + "\n"
+            path = tmp_path / f"d{d}.csv"
+            write_samples_csv(model, path)
+            assert path.read_text() == header + self._python_rows(rows)
+
+    def test_writer_memory_stays_in_row_blocks(self, tmp_path):
+        # 100,009 rows of five columns: a per-row loop over the columns' tolist() peaked at 18.4 MB,
+        # row blocks at 7.2 MB
+        jet = random_feasible_jet(np.random.default_rng(0), 1, 8)
+        gen = Generator(jet, LinearModulus(), compute_A(jet, LinearModulus()))
+        model = build_envelope(gen, *_box(jet), 100001, lipschitz_cap=sup_norm_gradients(jet))
+        tracemalloc.start()
+        try:
+            write_samples_csv(model, tmp_path / "large.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestDegenerateModuli:
